@@ -59,42 +59,6 @@ void BM_Verify(benchmark::State& state) {
 BENCHMARK(BM_Verify<crypto::Ed25519Provider>)->Name("BM_Verify/ed25519");
 BENCHMARK(BM_Verify<crypto::SimProvider>)->Name("BM_Verify/sim");
 
-// Batched verification (the BatchVerifier's inner loop) against the
-// single-call baseline above: per-batch-size throughput shows how much
-// of the per-call dispatch (EVP_PKEY import, MAC-key derivation) the
-// key-sorted batch path amortizes. Items cycle through 8 signers, the
-// shard shape the throughput engine produces.
-template <typename Provider>
-void BM_VerifyBatch(benchmark::State& state) {
-  Provider provider;
-  util::Rng rng(7);
-  std::vector<crypto::KeyPair> pairs;
-  for (int s = 0; s < 8; ++s) {
-    pairs.push_back(std::move(provider.GenerateKeyPair(rng).value()));
-  }
-  const size_t batch = static_cast<size_t>(state.range(0));
-  std::vector<crypto::VerifyItem> items(batch);
-  for (size_t i = 0; i < batch; ++i) {
-    const crypto::KeyPair& pair = pairs[i % pairs.size()];
-    items[i].key = pair.pub;
-    items[i].msg.assign(256, static_cast<uint8_t>(i));
-    items[i].sig = std::move(provider.Sign(pair.priv, items[i].msg).value());
-  }
-  std::vector<uint8_t> ok(batch);
-  for (auto _ : state) {
-    provider.VerifyBatch(items.data(), items.size(), ok.data());
-    benchmark::DoNotOptimize(ok.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batch));
-}
-BENCHMARK(BM_VerifyBatch<crypto::Ed25519Provider>)
-    ->Name("BM_VerifyBatch/ed25519")
-    ->Arg(1)->Arg(8)->Arg(64)->Arg(256);
-BENCHMARK(BM_VerifyBatch<crypto::SimProvider>)
-    ->Name("BM_VerifyBatch/sim")
-    ->Arg(1)->Arg(8)->Arg(64)->Arg(256);
-
 std::unique_ptr<sim::Network>& SharedNetwork(size_t n) {
   static std::map<size_t, std::unique_ptr<sim::Network>> cache;
   auto& slot = cache[n];

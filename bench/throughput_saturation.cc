@@ -1,27 +1,26 @@
 // Concurrent-task saturation curves: offered vs completed tasks/sec,
 // task latency percentiles, and crypto-ops/sec, for the naive
-// (synchronous per-message verification) baseline against the batched
-// sharded-worker-pool verifier — the throughput engine's raison d'etre.
+// (provider verify on every check) baseline against the memoized
+// verdict cache — the throughput engine's raison d'etre.
 //
 // The engine keeps `window` selections/queries/diffusions in flight
 // over one SimNetwork; the sweep lowers the virtual inter-arrival gap
 // until offered load exceeds capacity and the queue-delay knee appears.
 // Virtual-time results (digest, latencies, completion counts) are
-// bit-identical between the two modes and across worker counts — only
-// the wall-clock rates differ, and the batched/naive wall ratio at
-// saturation is the headline speedup. The batched mode's edge on this
-// workload is verdict coalescing: every party a VAL is disclosed to
-// verifies the same 2k triples, and the verifier resolves each unique
-// triple once (crypto/batch_verifier.h).
+// bit-identical between the two modes — only the wall-clock rates
+// differ, and the cached/naive wall ratio at saturation is the headline
+// speedup. The cached mode's edge on this workload is verdict
+// coalescing: every party a VAL is disclosed to verifies the same 2k
+// triples, and the cache verifies each unique triple once
+// (crypto/verdict_cache.h).
 //
 // Emits BENCH_throughput.json next to the text table. Exit status is
-// nonzero if the naive/batched digests diverge (determinism breach).
+// nonzero if the naive/cached digests diverge (determinism breach).
 
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/concept_index.h"
@@ -48,7 +47,7 @@ struct Row {
 
 ThroughputEngine::Report RunOnce(const sim::Parameters& params,
                                  ThroughputEngine::VerifyMode mode,
-                                 int workers, uint64_t gap_us, int tasks) {
+                                 uint64_t gap_us, int tasks) {
   // Fresh world per run: engine runs mutate caches, rate limiters and
   // the virtual clock, and identical seeds must mean identical runs.
   auto network = sim::Network::Build(params);
@@ -67,7 +66,7 @@ ThroughputEngine::Report RunOnce(const sim::Parameters& params,
   // The tentpole workload: selections, queries and diffusions over one
   // PDMS fleet. Queries and diffusions disclose the VAL to many
   // parties, each of which verifies the same 2k triples — the
-  // duplication the batched verifier coalesces.
+  // duplication the verdict cache coalesces.
   std::vector<node::PdmsNode> pdms;
   pdms.reserve(params.n);
   for (uint32_t i = 0; i < static_cast<uint32_t>(params.n); ++i) {
@@ -93,7 +92,6 @@ ThroughputEngine::Report RunOnce(const sim::Parameters& params,
 
   ThroughputEngine::Options options;
   options.verify_mode = mode;
-  options.workers = workers;
   options.arrival_gap_us = gap_us;
   options.window = 64;
   ThroughputEngine eng(network.value().get(), &simnet, &runtime, options);
@@ -112,10 +110,9 @@ ThroughputEngine::Report RunOnce(const sim::Parameters& params,
   return report.value();
 }
 
-std::string Json(const std::vector<Row>& rows, int workers,
-                 double speedup_at_saturation, uint64_t knee_gap_us) {
+std::string Json(const std::vector<Row>& rows, double speedup_at_saturation,
+                 uint64_t knee_gap_us) {
   std::string out = "{\n  \"bench\": \"throughput_saturation\",\n";
-  out += "  \"workers\": " + std::to_string(workers) + ",\n";
   out += "  \"knee_gap_us\": " + std::to_string(knee_gap_us) + ",\n";
   out += "  \"speedup_at_saturation\": " +
          bench::Num(speedup_at_saturation) + ",\n";
@@ -131,13 +128,13 @@ std::string Json(const std::vector<Row>& rows, int workers,
         ", \"p50_latency_us\": %" PRIu64 ", \"p99_latency_us\": %" PRIu64
         ", \"p99_queue_delay_us\": %" PRIu64
         ", \"wall_tasks_per_sec\": %.1f, \"crypto_ops_per_sec\": %.0f, "
-        "\"verify_batches\": %" PRIu64 ", \"verify_coalesced\": %" PRIu64
+        "\"verify_coalesced\": %" PRIu64
         ", \"results_digest\": \"%016" PRIx64 "\"}%s\n",
         rows[i].mode, rows[i].gap_us, r.offered_per_virtual_sec,
         r.completed_per_virtual_sec, r.completed, r.failed,
         r.p50_task_latency_us, r.p99_task_latency_us, r.p99_queue_delay_us,
         r.completed_per_wall_sec, r.crypto_ops_per_wall_sec,
-        r.verify_stats.batches, r.verify_stats.coalesced, r.results_digest,
+        r.verify_stats.coalesced, r.results_digest,
         i + 1 < rows.size() ? "," : "");
     out += buf;
   }
@@ -149,11 +146,6 @@ std::string Json(const std::vector<Row>& rows, int workers,
 
 int main(int argc, char** argv) {
   const bool quick = bench::QuickMode(argc, argv);
-  int workers = bench::ThreadsArg(argc, argv);
-  if (workers <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    workers = hw > 1 ? static_cast<int>(hw > 8 ? 8 : hw - 1) : 1;
-  }
 
   sim::Parameters params;
   params.n = quick ? 300 : 800;
@@ -161,19 +153,18 @@ int main(int argc, char** argv) {
   params.actor_count = 8;
   params.seed = 42;
   // Real Ed25519: the asymmetric-operation cost the paper counts is
-  // what the worker pool has to beat.
+  // what the verdict cache saves.
   params.provider = sim::Parameters::ProviderKind::kEd25519;
   // More tasks than the window (64): the window must fill for the
   // backpressure knee to show up in the queue-delay percentiles.
   const int tasks = quick ? 96 : 192;
   bench::PrintHeader(
-      "throughput saturation: task mempool + batched sharded verification",
-      "batched deferred verification sustains >= 2x tasks/sec at "
-      "saturation vs per-message verification at equal thread count",
+      "throughput saturation: task mempool + memoized verification",
+      "memoized verification sustains >= 2x tasks/sec at saturation vs "
+      "per-message verification",
       params);
-  std::printf("workers=%d tasks=%d window=64 "
-              "(selection/query/diffusion mix)\n\n",
-              workers, tasks);
+  std::printf("tasks=%d window=64 (selection/query/diffusion mix)\n\n",
+              tasks);
 
   const std::vector<uint64_t> gaps =
       quick ? std::vector<uint64_t>{20'000, 2'000, 200}
@@ -187,12 +178,12 @@ int main(int argc, char** argv) {
   bool digests_agree = true;
   uint64_t knee_gap_us = 0;
   double naive_wall_at_sat = 0;
-  double batched_wall_at_sat = 0;
+  double cached_wall_at_sat = 0;
   for (uint64_t gap : gaps) {
     ThroughputEngine::Report naive =
-        RunOnce(params, ThroughputEngine::VerifyMode::kNaive, 0, gap, tasks);
-    ThroughputEngine::Report batched = RunOnce(
-        params, ThroughputEngine::VerifyMode::kBatched, workers, gap, tasks);
+        RunOnce(params, ThroughputEngine::VerifyMode::kNaive, gap, tasks);
+    ThroughputEngine::Report cached =
+        RunOnce(params, ThroughputEngine::VerifyMode::kCached, gap, tasks);
     auto emit = [&](const char* mode, const ThroughputEngine::Report& r) {
       std::printf("%-8s %9" PRIu64 " %12.1f %14.1f %12.2f %12.2f %13.2f "
                   "%14.1f %13.0f\n",
@@ -205,31 +196,30 @@ int main(int argc, char** argv) {
       rows.push_back(Row{mode, gap, r});
     };
     emit("naive", naive);
-    emit("batched", batched);
-    if (batched.results_digest != naive.results_digest) {
+    emit("cached", cached);
+    if (cached.results_digest != naive.results_digest) {
       digests_agree = false;
       std::fprintf(stderr,
                    "DIGEST MISMATCH at gap=%" PRIu64
-                   ": naive=%016" PRIx64 " batched=%016" PRIx64 "\n",
-                   gap, naive.results_digest, batched.results_digest);
+                   ": naive=%016" PRIx64 " cached=%016" PRIx64 "\n",
+                   gap, naive.results_digest, cached.results_digest);
     }
     // The knee: the largest gap at which queuing appears (offered load
     // first exceeds virtual-time capacity).
     if (knee_gap_us == 0 && naive.p99_queue_delay_us > 0) knee_gap_us = gap;
     naive_wall_at_sat = naive.completed_per_wall_sec;
-    batched_wall_at_sat = batched.completed_per_wall_sec;
+    cached_wall_at_sat = cached.completed_per_wall_sec;
   }
 
   const double speedup =
-      naive_wall_at_sat > 0 ? batched_wall_at_sat / naive_wall_at_sat : 0;
+      naive_wall_at_sat > 0 ? cached_wall_at_sat / naive_wall_at_sat : 0;
   std::printf("\nsaturation knee (queue delay onset): gap <= %" PRIu64
               " us\n",
               knee_gap_us);
-  std::printf("wall-clock speedup at saturation (batched/naive, %d "
-              "workers): %.2fx %s\n",
-              workers, speedup, speedup >= 2.0 ? "(>= 2x: PASS)" : "");
+  std::printf("wall-clock speedup at saturation (cached/naive): %.2fx %s\n",
+              speedup, speedup >= 2.0 ? "(>= 2x: PASS)" : "");
 
-  const std::string json = Json(rows, workers, speedup, knee_gap_us);
+  const std::string json = Json(rows, speedup, knee_gap_us);
   Status st = obs::WriteFile("BENCH_throughput.json", json);
   if (!st.ok()) {
     std::fprintf(stderr, "write failed: %s\n", st.ToString().c_str());

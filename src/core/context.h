@@ -12,6 +12,7 @@
 #include "core/ktable.h"
 #include "crypto/certificate.h"
 #include "crypto/signature_provider.h"
+#include "crypto/verdict_cache.h"
 #include "dht/chord.h"
 #include "dht/directory.h"
 #include "dht/overlay.h"
@@ -41,11 +42,11 @@ struct ProtocolContext {
   // Bound on relocation attempts when R3 regions are underpopulated.
   int max_relocations = 8;
 
-  // When set, signature and certificate checks are deferred to this sink
-  // (optimistic verification: the protocol proceeds assuming they pass,
-  // and the engine folds batched verdicts back per task). When null —
-  // every pre-engine caller — checks run synchronously as before.
-  crypto::VerifySink* verify_sink = nullptr;
+  // When set, signature and certificate checks go through this verdict
+  // cache, which verifies each unique (key, msg, sig) triple once and
+  // answers repeats from memory. Either way a check returns its real
+  // verdict at the call site. Null outside a throughput-engine run.
+  crypto::VerdictCache* verify_sink = nullptr;
 
   // Convenience: signs `msg` with the private key of the node at `index`.
   Result<crypto::Signature> SignAs(uint32_t index,
@@ -53,28 +54,22 @@ struct ProtocolContext {
     return provider->Sign(directory->priv(index), msg);
   }
 
-  // Verifies `sig` over `msg` under `key` — synchronously when no sink
-  // is installed, otherwise deferred (returns true optimistically).
-  // Metering happens when the deferred batch resolves (VerifyBatch
-  // counts each item), so asym-op totals match the synchronous path.
+  // Verifies `sig` over `msg` under `key`, through the cache when one
+  // is installed.
   bool CheckSignature(const crypto::PublicKey& key,
                       const std::vector<uint8_t>& msg,
                       const crypto::Signature& sig) const {
-    if (verify_sink != nullptr) {
-      verify_sink->Defer(key, msg, sig);
-      return true;
-    }
+    if (verify_sink != nullptr) return verify_sink->Check(key, msg, sig);
     return provider->Verify(key, msg, sig);
   }
 
-  // Checks a certificate against the CA — synchronously or deferred.
-  // Deferred cert checks verify the CA signature over the certificate's
-  // canonical signed bytes, exactly what CertificateAuthority::Check does.
+  // Checks a certificate against the CA. The cached path verifies the
+  // CA signature over the certificate's canonical signed bytes, exactly
+  // what CertificateAuthority::Check does.
   bool CheckCertificate(const crypto::Certificate& cert) const {
     if (verify_sink != nullptr) {
-      verify_sink->Defer(ca->public_key(), cert.SignedBytes(),
-                         cert.ca_signature);
-      return true;
+      return verify_sink->Check(ca->public_key(), cert.SignedBytes(),
+                                cert.ca_signature);
     }
     return ca->Check(cert);
   }

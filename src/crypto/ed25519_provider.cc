@@ -2,9 +2,7 @@
 
 #include <openssl/evp.h>
 
-#include <algorithm>
 #include <memory>
-#include <vector>
 
 namespace sep2p::crypto {
 
@@ -101,45 +99,6 @@ bool Ed25519Provider::DoVerify(const PublicKey& key, const uint8_t* msg,
     return false;
   }
   return EVP_DigestVerify(ctx.get(), sig.data(), sig.size(), msg, len) == 1;
-}
-
-void Ed25519Provider::DoVerifyBatch(const VerifyItem* items, size_t count,
-                                    uint8_t* ok_out) {
-  // Visit items grouped by key (results stay positional) so each run of
-  // equal keys imports its EVP_PKEY once; certificate batches under the
-  // single CA key import exactly one.
-  std::vector<uint32_t> order(count);
-  for (size_t i = 0; i < count; ++i) order[i] = static_cast<uint32_t>(i);
-  std::sort(order.begin(), order.end(), [items](uint32_t a, uint32_t b) {
-    return items[a].key < items[b].key;
-  });
-  MdCtxPtr ctx(EVP_MD_CTX_new());
-  PkeyPtr pkey;
-  const PublicKey* cached_key = nullptr;
-  for (uint32_t idx : order) {
-    const VerifyItem& item = items[idx];
-    if (cached_key == nullptr || !(*cached_key == item.key)) {
-      pkey = LoadPublic(item.key);
-      cached_key = &item.key;
-    }
-    if (!pkey || !ctx) {
-      ok_out[idx] = 0;
-      continue;
-    }
-    // A one-shot EdDSA ctx cannot be re-Init'd in place: without the
-    // reset, every second EVP_DigestVerify fails spuriously.
-    EVP_MD_CTX_reset(ctx.get());
-    if (EVP_DigestVerifyInit(ctx.get(), nullptr, nullptr, nullptr,
-                             pkey.get()) != 1) {
-      ok_out[idx] = 0;
-      continue;
-    }
-    ok_out[idx] =
-        EVP_DigestVerify(ctx.get(), item.sig.data(), item.sig.size(),
-                         item.msg.data(), item.msg.size()) == 1
-            ? 1
-            : 0;
-  }
 }
 
 }  // namespace sep2p::crypto

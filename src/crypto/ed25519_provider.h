@@ -23,11 +23,6 @@ class Ed25519Provider : public SignatureProvider {
                            size_t len) override;
   bool DoVerify(const PublicKey& key, const uint8_t* msg, size_t len,
                 const Signature& sig) override;
-  // Batched verification amortizes the EVP_PKEY import (the dominant
-  // fixed cost besides the curve math) across runs of equal keys and
-  // reuses one EVP_MD_CTX for the whole batch.
-  void DoVerifyBatch(const VerifyItem* items, size_t count,
-                     uint8_t* ok_out) override;
 };
 
 }  // namespace sep2p::crypto

@@ -19,20 +19,4 @@ bool SignatureProvider::Verify(const PublicKey& key, const uint8_t* msg,
   return DoVerify(key, msg, len, sig);
 }
 
-void SignatureProvider::VerifyBatch(const VerifyItem* items, size_t count,
-                                    uint8_t* ok_out) {
-  meter_.CountVerify(count);
-  DoVerifyBatch(items, count, ok_out);
-}
-
-void SignatureProvider::DoVerifyBatch(const VerifyItem* items, size_t count,
-                                      uint8_t* ok_out) {
-  for (size_t i = 0; i < count; ++i) {
-    ok_out[i] = DoVerify(items[i].key, items[i].msg.data(),
-                         items[i].msg.size(), items[i].sig)
-                    ? 1
-                    : 0;
-  }
-}
-
 }  // namespace sep2p::crypto

@@ -15,7 +15,9 @@
 // paper's evaluation metric is the *number of asymmetric crypto
 // operations* (Definition 3), so the meter is what the benchmark
 // harnesses ultimately report, making the two providers interchangeable
-// for experiments.
+// for experiments. Repeated checks of the same (key, msg, sig) triple
+// can be memoized by crypto::VerdictCache (crypto/verdict_cache.h),
+// which calls Verify — and so meters — once per unique triple.
 
 #ifndef SEP2P_CRYPTO_SIGNATURE_PROVIDER_H_
 #define SEP2P_CRYPTO_SIGNATURE_PROVIDER_H_
@@ -71,38 +73,12 @@ class CryptoMeter {
 
   void CountKeyGen() { key_gens_.fetch_add(1, std::memory_order_relaxed); }
   void CountSign() { signs_.fetch_add(1, std::memory_order_relaxed); }
-  void CountVerify(uint64_t n = 1) {
-    verifies_.fetch_add(n, std::memory_order_relaxed);
-  }
+  void CountVerify() { verifies_.fetch_add(1, std::memory_order_relaxed); }
 
  private:
   std::atomic<uint64_t> key_gens_{0};
   std::atomic<uint64_t> signs_{0};
   std::atomic<uint64_t> verifies_{0};
-};
-
-// One verification in a batch: the key, message bytes and signature are
-// owned by the caller (the BatchVerifier's shard queues) and must stay
-// alive until VerifyBatch returns.
-struct VerifyItem {
-  PublicKey key{};
-  std::vector<uint8_t> msg;
-  Signature sig;
-};
-
-// Deferred-verification sink. Protocol code that would synchronously
-// Verify() can instead hand the triple to a sink (when one is attached
-// to the ProtocolContext) and optimistically continue; the sink's owner
-// resolves the verdicts later, in batches (crypto/batch_verifier.h).
-// This is the optimistic-execution shape of batched transaction
-// signature checking: the hot path never blocks on a verify, and a
-// forged signature fails the whole task at resolution instead of at the
-// call site.
-class VerifySink {
- public:
-  virtual ~VerifySink() = default;
-  virtual void Defer(const PublicKey& key, const std::vector<uint8_t>& msg,
-                     const Signature& sig) = 0;
 };
 
 class SignatureProvider {
@@ -128,15 +104,6 @@ class SignatureProvider {
     return Verify(key, msg.data(), msg.size(), sig);
   }
 
-  // Verifies `count` items, writing 1/0 into ok_out[i]. Each item is
-  // metered exactly like a single Verify, so batch and loop are
-  // interchangeable for the paper's operation counts. Providers may
-  // amortize per-key setup across the batch (DoVerifyBatch); the default
-  // implementation is a plain loop. Thread-safe: worker pools call this
-  // concurrently on disjoint batches (the meter is atomic, providers are
-  // stateless).
-  void VerifyBatch(const VerifyItem* items, size_t count, uint8_t* ok_out);
-
   // Recomputes the public key matching `key`. Used by the sealed-message
   // layer to enforce that only the intended recipient opens a message.
   virtual Result<PublicKey> DerivePublicKey(const PrivateKey& key) = 0;
@@ -152,10 +119,6 @@ class SignatureProvider {
                                    size_t len) = 0;
   virtual bool DoVerify(const PublicKey& key, const uint8_t* msg, size_t len,
                         const Signature& sig) = 0;
-  // Batch hook: the default loops DoVerify; providers override to hoist
-  // per-key work (key import, MAC-key derivation) out of the item loop.
-  virtual void DoVerifyBatch(const VerifyItem* items, size_t count,
-                             uint8_t* ok_out);
 
  private:
   CryptoMeter meter_;

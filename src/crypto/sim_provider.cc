@@ -1,6 +1,5 @@
 #include "crypto/sim_provider.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "crypto/hmac.h"
@@ -63,36 +62,6 @@ bool SimProvider::DoVerify(const PublicKey& key, const uint8_t* msg,
   Digest mac_key = MacKey(key);
   Digest expected = HmacSha256(mac_key.data(), mac_key.size(), msg, len);
   return std::memcmp(expected.data(), sig.data(), expected.size()) == 0;
-}
-
-void SimProvider::DoVerifyBatch(const VerifyItem* items, size_t count,
-                                uint8_t* ok_out) {
-  // Visit items grouped by key (results stay positional): each run of
-  // equal keys shares one MAC-key derivation.
-  std::vector<uint32_t> order(count);
-  for (size_t i = 0; i < count; ++i) order[i] = static_cast<uint32_t>(i);
-  std::sort(order.begin(), order.end(), [items](uint32_t a, uint32_t b) {
-    return items[a].key < items[b].key;
-  });
-  Digest mac_key{};
-  const PublicKey* cached_key = nullptr;
-  for (uint32_t idx : order) {
-    const VerifyItem& item = items[idx];
-    if (item.sig.size() != 32) {
-      ok_out[idx] = 0;
-      continue;
-    }
-    if (cached_key == nullptr || !(*cached_key == item.key)) {
-      mac_key = MacKey(item.key);
-      cached_key = &item.key;
-    }
-    Digest expected = HmacSha256(mac_key.data(), mac_key.size(),
-                                 item.msg.data(), item.msg.size());
-    ok_out[idx] = std::memcmp(expected.data(), item.sig.data(),
-                              expected.size()) == 0
-                      ? 1
-                      : 0;
-  }
 }
 
 }  // namespace sep2p::crypto

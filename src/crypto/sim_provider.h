@@ -30,13 +30,6 @@ class SimProvider : public SignatureProvider {
                            size_t len) override;
   bool DoVerify(const PublicKey& key, const uint8_t* msg, size_t len,
                 const Signature& sig) override;
-  // Batched verification hoists the MAC-key derivation (one SHA-256 per
-  // distinct public key) out of the item loop: items are visited in
-  // key-sorted order so every run of equal keys derives its MAC key
-  // once. Certificate-check batches (every item under the CA key)
-  // collapse to a single derivation.
-  void DoVerifyBatch(const VerifyItem* items, size_t count,
-                     uint8_t* ok_out) override;
 };
 
 }  // namespace sep2p::crypto

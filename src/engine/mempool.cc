@@ -59,11 +59,9 @@ void TaskMempool::Complete(uint64_t id, uint64_t complete_us,
 
 void TaskMempool::Fail(uint64_t id, uint64_t fail_us) {
   Task& t = tasks_[id];
-  assert(t.state == TaskState::kAdmitted ||
-         t.state == TaskState::kCompleted);
-  if (t.state == TaskState::kCompleted) --completed_;  // verdict revoked
+  assert(t.state == TaskState::kAdmitted);
   t.state = TaskState::kFailed;
-  if (t.complete_us == 0) t.complete_us = fail_us;
+  t.complete_us = fail_us;
   ++failed_;
 }
 

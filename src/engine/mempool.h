@@ -8,14 +8,11 @@
 //
 //   pending --Admit--> admitted --Complete--> completed
 //                               \--Fail-----> failed
-//                      completed --Fail-----> failed   (verdict revoked)
 //
-// The last edge is the optimistic-verification bargain: a task
-// "completes" as soon as its protocol run finishes, but deferred
-// signature verdicts resolve later (crypto/batch_verifier.h), and a
-// false verdict retroactively fails the task. Conservation invariant:
-// once all verdicts are folded, admitted == completed + failed — an
-// admitted task is never dropped.
+// Both exits are final: a task's signature checks return their real
+// verdicts while it executes, so a task that completed stays completed.
+// Conservation invariant: once every task has run, admitted ==
+// completed + failed — an admitted task is never dropped.
 //
 // Determinism. Task ids are the submission order (stable, dense); each
 // task carries its own SplitMix64 stream seed derived from (engine
@@ -42,8 +39,8 @@ enum class TaskKind : uint8_t {
 enum class TaskState : uint8_t {
   kPending = 0,  // submitted, waiting for the admission window
   kAdmitted,     // executing (in flight)
-  kCompleted,    // protocol run finished, verdicts (so far) clean
-  kFailed,       // protocol error, or a deferred verdict came back false
+  kCompleted,    // protocol run finished; final
+  kFailed,       // protocol error, including a false signature verdict
 };
 
 const char* TaskKindName(TaskKind kind);
@@ -72,8 +69,8 @@ class TaskMempool {
   uint64_t Submit(TaskKind kind, uint32_t trigger, uint64_t arrival_us,
                   uint64_t seed);
 
-  // Lifecycle transitions. Admit/Complete/Fail validate the source
-  // state; Fail additionally accepts kCompleted (verdict revocation).
+  // Lifecycle transitions; each validates the source state (Admit:
+  // kPending, Complete and Fail: kAdmitted).
   void Admit(uint64_t id, uint64_t admit_us);
   void Complete(uint64_t id, uint64_t complete_us, uint64_t result_digest,
                 int restarts);

@@ -56,23 +56,17 @@ ThroughputEngine::ThroughputEngine(sim::Network* world,
                                    const Options& options)
     : world_(world), net_(net), runtime_(runtime), options_(options) {
   if (options_.window < 1) options_.window = 1;
-  if (options_.resolve_every < 1) options_.resolve_every = 1;
   // 'thrpt' salt: engine task streams never collide with trial streams
   // built from the same Parameters::seed.
   task_seed_base_ = sim::MixSeed(options_.seed, 0x746872707464ULL);
-  if (options_.verify_mode == VerifyMode::kBatched) {
-    crypto::BatchVerifier::Options vo;
-    vo.shard_count = options_.shard_count;
-    vo.batch_size = options_.batch_size;
-    vo.workers = options_.workers;
-    verifier_ =
-        std::make_unique<crypto::BatchVerifier>(&world_->provider(), vo);
-    world_->set_verify_sink(verifier_.get());
+  if (options_.verify_mode == VerifyMode::kCached) {
+    cache_ = std::make_unique<crypto::VerdictCache>(&world_->provider());
+    world_->set_verify_sink(cache_.get());
   }
 }
 
 ThroughputEngine::~ThroughputEngine() {
-  if (verifier_ != nullptr && world_->verify_sink() == verifier_.get()) {
+  if (cache_ != nullptr && world_->verify_sink() == cache_.get()) {
     world_->set_verify_sink(nullptr);
   }
 }
@@ -159,17 +153,6 @@ Status ThroughputEngine::Execute(const Task& task, util::Rng& rng,
   return Status::Ok();
 }
 
-void ThroughputEngine::ResolveVerdicts() {
-  if (verifier_ == nullptr) return;
-  verifier_->Drain();
-  for (uint64_t id : verifier_->failed_tasks()) {
-    if (!verdict_failed_.insert(id).second) continue;  // already folded
-    const Task& t = mempool_.task(id);
-    if (t.state == TaskState::kFailed) continue;  // failed at protocol level
-    mempool_.Fail(id, t.complete_us);
-  }
-}
-
 Result<ThroughputEngine::Report> ThroughputEngine::Run() {
   if (ran_) return Status::FailedPrecondition("engine: Run() is one-shot");
   ran_ = true;
@@ -183,7 +166,6 @@ Result<ThroughputEngine::Report> ThroughputEngine::Run() {
   std::priority_queue<uint64_t, std::vector<uint64_t>,
                       std::greater<uint64_t>>
       window;
-  int since_resolve = 0;
   for (uint64_t id = 0; id < mempool_.size(); ++id) {
     const Task& t = mempool_.task(id);
     // Backpressure: with the window full, the task waits for the
@@ -203,7 +185,6 @@ Result<ThroughputEngine::Report> ThroughputEngine::Run() {
     }
 
     net_->SetVirtualTime(admit_us);
-    if (verifier_ != nullptr) verifier_->BeginTask(id);
     util::Rng rng(sim::StreamSeed(t.seed, 1));
     uint64_t digest = 0;
     int restarts = 0;
@@ -212,9 +193,6 @@ Result<ThroughputEngine::Report> ThroughputEngine::Run() {
     if (status.ok()) {
       mempool_.Complete(id, complete_us, digest, restarts);
       if (metrics_ != nullptr) {
-        // Observed at optimistic completion; a later false verdict
-        // fails the task but the latency sample (deterministic for any
-        // worker count) stays.
         metrics_->Observe(obs::Hist::kTaskLatencyUs,
                           complete_us - t.arrival_us);
       }
@@ -222,13 +200,7 @@ Result<ThroughputEngine::Report> ThroughputEngine::Run() {
       mempool_.Fail(id, complete_us);
     }
     window.push(complete_us);
-
-    if (++since_resolve >= options_.resolve_every) {
-      ResolveVerdicts();
-      since_resolve = 0;
-    }
   }
-  ResolveVerdicts();
   const auto wall_end = std::chrono::steady_clock::now();
   assert(mempool_.AllResolved());
 
@@ -238,7 +210,7 @@ Result<ThroughputEngine::Report> ThroughputEngine::Run() {
   report.completed = mempool_.completed();
   report.failed = mempool_.failed();
   report.results_digest = mempool_.ResultsDigest();
-  if (verifier_ != nullptr) report.verify_stats = verifier_->stats();
+  if (cache_ != nullptr) report.verify_stats = cache_->stats();
   report.crypto_verifies = meter.verifies() - verifies_before;
   report.crypto_signs = meter.signs() - signs_before;
 
@@ -291,12 +263,6 @@ Result<ThroughputEngine::Report> ThroughputEngine::Run() {
   if (metrics_ != nullptr) {
     metrics_->Inc(obs::Counter::kTasksCompleted, report.completed);
     metrics_->Inc(obs::Counter::kTasksFailed, report.failed);
-    if (verifier_ != nullptr) {
-      metrics_->Inc(obs::Counter::kVerifyBatches,
-                    report.verify_stats.batches);
-      metrics_->Inc(obs::Counter::kVerifyBatchItems,
-                    report.verify_stats.items);
-    }
   }
   return report;
 }

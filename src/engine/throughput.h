@@ -20,34 +20,34 @@
 //    single-threaded by contract), but each task's execution is placed
 //    at its own admission instant via Transport::SetVirtualTime — the same
 //    virtual-parallel shape CallMany gives branches of one RPC round;
-//  * batched deferred verification: in kBatched mode the engine
-//    installs a crypto::BatchVerifier as the world's verify sink, so
-//    every certificate/signature check any task performs is coalesced
-//    into sharded batches verified by dedicated worker threads WHILE
-//    the coordinator executes further tasks. Verdicts are folded back
-//    at drain points: a task with a false verdict is retroactively
-//    failed (TaskMempool's completed->failed edge). kNaive mode keeps
-//    the synchronous per-message verify — the baseline the saturation
-//    bench compares against.
+//  * memoized verification: in kCached mode the engine installs a
+//    crypto::VerdictCache as the world's verify sink for the lifetime
+//    of the engine, so every certificate/signature check any task
+//    performs verifies each unique (key, msg, sig) triple once and
+//    answers repeats — the many parties a VAL is disclosed to all check
+//    the same triples — from memory. Checks stay synchronous: a false
+//    verdict fails its task at the call site, exactly as in kNaive
+//    mode, which keeps the per-message provider verify as the baseline
+//    the saturation bench compares against.
 //
 // Determinism contract. Task ids, arrivals, admission instants, RNG
-// streams, batch composition and verdicts are all pure functions of
-// (options, workload) — never of the worker count or wall-clock
-// timing. Report::results_digest and every virtual-time statistic are
-// bit-identical across --threads; only the wall-clock rates change.
+// streams and verdicts are all pure functions of (options, workload) —
+// never of wall-clock timing. Verdicts are the same in both modes, so
+// Report::results_digest and every virtual-time statistic are
+// bit-identical between kNaive and kCached; only the wall-clock rates
+// and the metered verify count change.
 
 #ifndef SEP2P_ENGINE_THROUGHPUT_H_
 #define SEP2P_ENGINE_THROUGHPUT_H_
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "apps/diffusion.h"
 #include "apps/query.h"
-#include "crypto/batch_verifier.h"
+#include "crypto/verdict_cache.h"
 #include "engine/mempool.h"
 #include "net/transport.h"
 #include "node/app_runtime.h"
@@ -61,29 +61,17 @@ namespace sep2p::engine {
 class ThroughputEngine {
  public:
   enum class VerifyMode {
-    kNaive,    // synchronous per-message verification (baseline)
-    kBatched,  // deferred, coalesced, verified on the worker pool
+    kNaive,   // provider verify on every check (baseline)
+    kCached,  // each unique triple verified once (crypto::VerdictCache)
   };
 
   struct Options {
-    VerifyMode verify_mode = VerifyMode::kBatched;
-    // Verifier worker threads (kBatched only). 0 = verify inline at
-    // dispatch (single-threaded batched mode: still amortizes per-key
-    // setup, no pipelining).
-    int workers = 1;
-    // Shard fan-out and batch size of the BatchVerifier. Fixed per run
-    // and independent of `workers`, so batch composition — and every
-    // stat derived from it — is thread-count invariant.
-    int shard_count = 16;
-    size_t batch_size = 64;
+    VerifyMode verify_mode = VerifyMode::kCached;
     // Admission window: max tasks in flight on the virtual timeline.
     int window = 64;
     // Virtual inter-arrival gap of the offered load (us). Smaller gap =
     // higher offered rate; the saturation bench sweeps this.
     uint64_t arrival_gap_us = 2'000;
-    // Tasks between verdict drains (kBatched). Also the upper bound on
-    // how long a wrong optimistic completion can survive.
-    int resolve_every = 32;
     // Restart budget per selection (fresh RND_T on kUnavailable).
     int max_selection_attempts = 8;
     // Base seed; task t draws from Rng(StreamSeed(mix(seed), t)).
@@ -91,7 +79,7 @@ class ThroughputEngine {
   };
 
   // Aggregate outcome of one Run(). Virtual-time fields and the digest
-  // are bit-identical across thread counts; wall_seconds (and the rates
+  // are bit-identical between verify modes; wall_seconds (and the rates
   // derived from it) is the measured quantity.
   struct Report {
     uint64_t submitted = 0;
@@ -111,13 +99,13 @@ class ThroughputEngine {
     uint64_t crypto_verifies = 0;  // provider meter delta over the run
     uint64_t crypto_signs = 0;
     double crypto_ops_per_wall_sec = 0;
-    crypto::BatchVerifier::Stats verify_stats;  // zeros in kNaive
+    crypto::VerdictCache::Stats verify_stats;  // zeros in kNaive
     uint64_t results_digest = 0;  // TaskMempool::ResultsDigest()
   };
 
   // `world`, `net` and `runtime` must outlive the engine; the engine
   // installs (and on destruction removes) the world's verify sink in
-  // kBatched mode. One engine per (world, net) — the engine owns the
+  // kCached mode. One engine per (world, net) — the engine owns the
   // virtual timeline.
   ThroughputEngine(sim::Network* world, net::Transport* net,
                    node::AppRuntime* runtime, const Options& options);
@@ -141,7 +129,7 @@ class ThroughputEngine {
   }
 
   // Optional metrics registry: task lifecycle counters, queue-delay and
-  // latency histograms, verify-batch counters. Passive as always.
+  // latency histograms. Passive as always.
   void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
 
   // Appends one pending task; arrival times must be non-decreasing
@@ -153,30 +141,24 @@ class ThroughputEngine {
   // kDiffusion} repeats 2:1), triggers drawn per task from its stream.
   void SubmitWorkload(int count, const std::vector<TaskKind>& mix);
 
-  // Executes every pending task to resolution (all verdicts folded).
-  // Callable once per engine.
+  // Executes every pending task to resolution. Callable once per engine.
   Result<Report> Run();
 
   const TaskMempool& mempool() const { return mempool_; }
   const Options& options() const { return options_; }
-  crypto::BatchVerifier* verifier() { return verifier_.get(); }
 
  private:
   // Runs one admitted task at the current virtual time; returns its
   // 64-bit result digest via `digest` (task-kind specific fold).
   Status Execute(const Task& task, util::Rng& rng, uint64_t* digest,
                  int* restarts);
-  // Drains the verifier and retroactively fails tasks with false
-  // verdicts (kBatched; no-op in kNaive).
-  void ResolveVerdicts();
 
   sim::Network* world_;
   net::Transport* net_;
   node::AppRuntime* runtime_;
   Options options_;
   TaskMempool mempool_;
-  std::unique_ptr<crypto::BatchVerifier> verifier_;
-  std::set<uint64_t> verdict_failed_;  // already folded into the mempool
+  std::unique_ptr<crypto::VerdictCache> cache_;  // kCached only
   obs::MetricsRegistry* metrics_ = nullptr;
   apps::DiffusionApp* diffusion_ = nullptr;
   std::string diffusion_expression_;

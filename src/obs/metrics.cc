@@ -104,8 +104,6 @@ const char* CounterName(Counter c) {
     case Counter::kTasksAdmitted: return "tasks_admitted";
     case Counter::kTasksCompleted: return "tasks_completed";
     case Counter::kTasksFailed: return "tasks_failed";
-    case Counter::kVerifyBatches: return "verify_batches";
-    case Counter::kVerifyBatchItems: return "verify_batch_items";
     case Counter::kChurnJoins: return "churn_joins";
     case Counter::kChurnJoinsRejected: return "churn_joins_rejected";
     case Counter::kChurnLeaves: return "churn_leaves";

@@ -109,9 +109,6 @@ enum class Counter : size_t {
   kTasksAdmitted,
   kTasksCompleted,
   kTasksFailed,
-  // Batched-verification traffic (crypto/batch_verifier.h).
-  kVerifyBatches,
-  kVerifyBatchItems,
   // Continuous-churn driver events (sim/churn_driver.h). Joins split
   // into attested (§3.6 join ran and verified) vs rejected; leaves are
   // graceful departures, crashes are failures.

@@ -47,12 +47,12 @@ class Network {
   // tunables can be adjusted on the returned value.
   core::ProtocolContext context();
 
-  // Installs a deferred-verification sink into every context() built
-  // from here on (the throughput engine's batched mode); nullptr
-  // restores synchronous verification. The sink must outlive any
-  // protocol run using those contexts.
-  void set_verify_sink(crypto::VerifySink* sink) { verify_sink_ = sink; }
-  crypto::VerifySink* verify_sink() const { return verify_sink_; }
+  // Installs a verdict cache into every context() built from here on
+  // (the throughput engine's cached mode); nullptr restores direct
+  // provider verification. The cache must outlive any protocol run
+  // using those contexts.
+  void set_verify_sink(crypto::VerdictCache* sink) { verify_sink_ = sink; }
+  crypto::VerdictCache* verify_sink() const { return verify_sink_; }
 
   // Directory indices of the colluding nodes, ascending.
   const std::vector<uint32_t>& ColluderIndices() const {
@@ -83,7 +83,7 @@ class Network {
   std::unique_ptr<dht::CanOverlay> can_;
   std::optional<core::KTable> ktable_;
   double tolerance_rs_ = 0;
-  crypto::VerifySink* verify_sink_ = nullptr;
+  crypto::VerdictCache* verify_sink_ = nullptr;
   std::vector<uint32_t> colluder_indices_;  // ascending
 };
 

@@ -47,23 +47,6 @@ TEST(MempoolTest, LifecycleCountsAndDelays) {
   EXPECT_EQ(pool.task(0).result_digest, 0xabcu);
 }
 
-TEST(MempoolTest, VerdictRevocationMovesCompletedToFailed) {
-  TaskMempool pool;
-  pool.Submit(TaskKind::kQuery, 0, 0, 1);
-  pool.Admit(0, 0);
-  pool.Complete(0, 4'000, 0x1, 0);
-  EXPECT_EQ(pool.completed(), 1u);
-
-  // A deferred verification verdict came back false: the optimistic
-  // completion is revoked. Conservation must hold throughout.
-  pool.Fail(0, 4'000);
-  EXPECT_EQ(pool.completed(), 0u);
-  EXPECT_EQ(pool.failed(), 1u);
-  EXPECT_EQ(pool.task(0).state, TaskState::kFailed);
-  EXPECT_TRUE(pool.AllResolved());
-  EXPECT_EQ(pool.admitted(), pool.completed() + pool.failed());
-}
-
 TEST(MempoolTest, ResultsDigestIsAFunctionOfCompletedTasks) {
   auto run = [](uint64_t digest0, bool fail_second) {
     TaskMempool pool;

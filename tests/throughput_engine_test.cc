@@ -1,13 +1,14 @@
 // ThroughputEngine: concurrent-task execution with the mempool,
-// admission backpressure and batched deferred verification
+// admission backpressure and memoized verification
 // (engine/throughput.h). The determinism tests build a FRESH world per
 // run (engine runs mutate caches, rate limiters and the virtual clock)
-// and compare the bit-identity probes across worker counts.
+// and compare the bit-identity probes across verify modes.
 
 #include "engine/throughput.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -63,99 +64,117 @@ apps::QuerySpec Spec() {
   return spec;
 }
 
-ThroughputEngine::Report RunEngine(const ThroughputEngine::Options& options,
-                                   int tasks,
-                                   obs::MetricsRegistry* metrics = nullptr) {
+const std::vector<TaskKind> kMix = {TaskKind::kSelection, TaskKind::kQuery,
+                                   TaskKind::kSelection,
+                                   TaskKind::kDiffusion};
+
+struct EngineRun {
+  ThroughputEngine::Report report;
+  std::vector<uint64_t> failed_ids;
+};
+
+// Runs `tasks` tasks of kMix on a fresh world. `prepare` may tamper
+// with the world before the engine starts and submit further tasks
+// after the mix.
+EngineRun RunEngine(
+    const ThroughputEngine::Options& options, int tasks,
+    obs::MetricsRegistry* metrics = nullptr,
+    const std::function<void(World&, ThroughputEngine&)>& prepare =
+        nullptr) {
   World w = MakeWorld();
   ThroughputEngine engine(w.network.get(), w.simnet.get(), w.runtime.get(),
                           options);
   engine.set_diffusion(w.diffusion.get(), "pilot", "notice");
   engine.set_query(w.query.get(), Spec());
   if (metrics != nullptr) engine.set_metrics(metrics);
-  engine.SubmitWorkload(tasks, {TaskKind::kSelection, TaskKind::kQuery,
-                                TaskKind::kSelection, TaskKind::kDiffusion});
+  engine.SubmitWorkload(tasks, kMix);
+  if (prepare) prepare(w, engine);
   auto report = engine.Run();
   EXPECT_TRUE(report.ok()) << report.status().ToString();
-  return report.value();
-}
-
-TEST(ThroughputEngineTest, ResultsAreBitIdenticalAcrossWorkerCounts) {
-  ThroughputEngine::Options options;
-  options.verify_mode = ThroughputEngine::VerifyMode::kBatched;
-  options.window = 8;
-  options.arrival_gap_us = 5'000;
-  options.resolve_every = 8;
-
-  options.workers = 1;
-  const ThroughputEngine::Report ref = RunEngine(options, 24);
-  EXPECT_GT(ref.completed, 0u);
-  for (int workers : {4, 8}) {
-    options.workers = workers;
-    const ThroughputEngine::Report r = RunEngine(options, 24);
-    EXPECT_EQ(r.results_digest, ref.results_digest) << "workers=" << workers;
-    EXPECT_EQ(r.completed, ref.completed) << "workers=" << workers;
-    EXPECT_EQ(r.failed, ref.failed) << "workers=" << workers;
-    EXPECT_EQ(r.virtual_makespan_us, ref.virtual_makespan_us)
-        << "workers=" << workers;
-    EXPECT_EQ(r.p50_task_latency_us, ref.p50_task_latency_us)
-        << "workers=" << workers;
-    EXPECT_EQ(r.p99_task_latency_us, ref.p99_task_latency_us)
-        << "workers=" << workers;
-    EXPECT_EQ(r.p50_queue_delay_us, ref.p50_queue_delay_us)
-        << "workers=" << workers;
-    EXPECT_EQ(r.crypto_verifies, ref.crypto_verifies)
-        << "workers=" << workers;
-    EXPECT_EQ(r.verify_stats.items, ref.verify_stats.items)
-        << "workers=" << workers;
-    EXPECT_EQ(r.verify_stats.batches, ref.verify_stats.batches)
-        << "workers=" << workers;
+  EngineRun run{report.value(), {}};
+  for (const Task& t : engine.mempool().tasks()) {
+    if (t.state == TaskState::kFailed) run.failed_ids.push_back(t.id);
   }
+  return run;
 }
 
-TEST(ThroughputEngineTest, MetricsAreBitIdenticalAcrossWorkerCounts) {
-  ThroughputEngine::Options options;
-  options.window = 4;
-  options.arrival_gap_us = 2'000;
-
-  options.workers = 1;
-  obs::MetricsRegistry ref;
-  RunEngine(options, 12, &ref);
-  for (int workers : {4, 8}) {
-    options.workers = workers;
-    obs::MetricsRegistry m;
-    RunEngine(options, 12, &m);
-    EXPECT_EQ(m.ToJson(), ref.ToJson()) << "workers=" << workers;
-  }
-}
-
-TEST(ThroughputEngineTest, NaiveAndBatchedAgreeOnVirtualTimeResults) {
-  // Verification never advances the virtual clock in either mode, so
-  // everything except wall-clock and verifier stats must agree — the
-  // anchor that makes the saturation bench's naive/batched comparison
-  // apples-to-apples.
+TEST(ThroughputEngineTest, NaiveAndCachedAgreeOnVirtualTimeResults) {
+  // Verification never advances the virtual clock and returns the same
+  // verdicts in either mode, so everything except wall-clock and cache
+  // stats must agree — the anchor that makes the saturation bench's
+  // naive/cached comparison apples-to-apples.
   ThroughputEngine::Options options;
   options.window = 8;
   options.arrival_gap_us = 5'000;
 
   options.verify_mode = ThroughputEngine::VerifyMode::kNaive;
-  const ThroughputEngine::Report naive = RunEngine(options, 16);
-  options.verify_mode = ThroughputEngine::VerifyMode::kBatched;
-  options.workers = 4;
-  const ThroughputEngine::Report batched = RunEngine(options, 16);
+  obs::MetricsRegistry naive_metrics;
+  const ThroughputEngine::Report naive =
+      RunEngine(options, 16, &naive_metrics).report;
+  options.verify_mode = ThroughputEngine::VerifyMode::kCached;
+  obs::MetricsRegistry cached_metrics;
+  const ThroughputEngine::Report cached =
+      RunEngine(options, 16, &cached_metrics).report;
 
-  EXPECT_EQ(batched.results_digest, naive.results_digest);
-  EXPECT_EQ(batched.completed, naive.completed);
-  EXPECT_EQ(batched.failed, naive.failed);
-  EXPECT_EQ(batched.virtual_makespan_us, naive.virtual_makespan_us);
-  EXPECT_EQ(batched.p99_task_latency_us, naive.p99_task_latency_us);
-  // Batched mode coalesces duplicate triples (many parties verifying
-  // the same actor list), so its metered asymmetric-operation count is
-  // at most the naive path's — never more.
-  EXPECT_LE(batched.crypto_verifies, naive.crypto_verifies);
-  EXPECT_GT(batched.crypto_verifies, 0u);
-  EXPECT_GT(batched.verify_stats.items, 0u);
-  EXPECT_GT(batched.verify_stats.coalesced, 0u);
-  EXPECT_EQ(naive.verify_stats.items, 0u);
+  EXPECT_GT(cached.completed, 0u);
+  EXPECT_EQ(cached.failed, 0u);
+  EXPECT_EQ(cached.results_digest, naive.results_digest);
+  EXPECT_EQ(cached.completed, naive.completed);
+  EXPECT_EQ(cached.failed, naive.failed);
+  EXPECT_EQ(cached.virtual_makespan_us, naive.virtual_makespan_us);
+  EXPECT_EQ(cached.p50_task_latency_us, naive.p50_task_latency_us);
+  EXPECT_EQ(cached.p99_task_latency_us, naive.p99_task_latency_us);
+  EXPECT_EQ(cached.p99_queue_delay_us, naive.p99_queue_delay_us);
+  EXPECT_EQ(cached.crypto_signs, naive.crypto_signs);
+  EXPECT_EQ(cached_metrics.ToJson(), naive_metrics.ToJson());
+  // Both modes make the same checks; the cache answers the repeats
+  // without calling the provider.
+  EXPECT_EQ(naive.crypto_verifies,
+            cached.crypto_verifies + cached.verify_stats.coalesced);
+  EXPECT_GT(cached.verify_stats.coalesced, 0u);
+  EXPECT_EQ(naive.verify_stats.coalesced, 0u);
+}
+
+TEST(ThroughputEngineTest, CachedFalseVerdictFailsTheSameTasksAsNaive) {
+  // One node's certificate signature is corrupted in the directory.
+  // Every check of that certificate is false; the cached mode must fail
+  // exactly the tasks the naive mode fails, at the same virtual
+  // instants. The two trailing selections are triggered by the forged
+  // node, so each checks its certificate: the first verifies the forged
+  // triple (or hits a verdict an earlier task cached), the second is
+  // answered from the cache — a cached false verdict.
+  constexpr uint32_t kForged = 17;
+  auto prepare = [](World& w, ThroughputEngine& engine) {
+    dht::Directory& dir = w.network->directory();
+    crypto::Signature forged = dir.cert(kForged).ca_signature;
+    forged[0] ^= 0xff;
+    dir.SetCertSignature(kForged, forged);
+    const uint64_t last = engine.mempool().task(engine.mempool().size() - 1)
+                              .arrival_us;
+    engine.Submit(TaskKind::kSelection, kForged, last + 5'000);
+    engine.Submit(TaskKind::kSelection, kForged, last + 10'000);
+  };
+  ThroughputEngine::Options options;
+  options.window = 8;
+  options.arrival_gap_us = 5'000;
+
+  options.verify_mode = ThroughputEngine::VerifyMode::kNaive;
+  const EngineRun naive = RunEngine(options, 16, nullptr, prepare);
+  options.verify_mode = ThroughputEngine::VerifyMode::kCached;
+  const EngineRun cached = RunEngine(options, 16, nullptr, prepare);
+
+  EXPECT_EQ(cached.failed_ids, naive.failed_ids);
+  ASSERT_GE(naive.failed_ids.size(), 2u);
+  EXPECT_EQ(naive.failed_ids[naive.failed_ids.size() - 2], 16u);
+  EXPECT_EQ(naive.failed_ids.back(), 17u);
+  EXPECT_GT(naive.report.completed, 0u);
+  EXPECT_EQ(cached.report.results_digest, naive.report.results_digest);
+  EXPECT_EQ(cached.report.completed, naive.report.completed);
+  EXPECT_EQ(cached.report.virtual_makespan_us,
+            naive.report.virtual_makespan_us);
+  EXPECT_EQ(naive.report.crypto_verifies,
+            cached.report.crypto_verifies +
+                cached.report.verify_stats.coalesced);
 }
 
 TEST(ThroughputEngineTest, BackpressureNeverDropsAnAdmittedTask) {
@@ -165,9 +184,7 @@ TEST(ThroughputEngineTest, BackpressureNeverDropsAnAdmittedTask) {
   ThroughputEngine::Options options;
   options.window = 2;
   options.arrival_gap_us = 100;  // offered load far beyond capacity
-  options.resolve_every = 4;
-  options.workers = 2;
-  const ThroughputEngine::Report r = RunEngine(options, 30);
+  const ThroughputEngine::Report r = RunEngine(options, 30).report;
   EXPECT_EQ(r.submitted, 30u);
   EXPECT_EQ(r.admitted, 30u);
   EXPECT_EQ(r.completed + r.failed, r.admitted);
@@ -178,12 +195,11 @@ TEST(ThroughputEngineTest, BackpressureNeverDropsAnAdmittedTask) {
 TEST(ThroughputEngineTest, QueueDelayGrowsWithOfferedLoad) {
   ThroughputEngine::Options options;
   options.window = 2;
-  options.workers = 1;
 
   options.arrival_gap_us = 100'000'000;  // trickle: window never fills
-  const ThroughputEngine::Report idle = RunEngine(options, 10);
+  const ThroughputEngine::Report idle = RunEngine(options, 10).report;
   options.arrival_gap_us = 100;  // flood
-  const ThroughputEngine::Report flooded = RunEngine(options, 10);
+  const ThroughputEngine::Report flooded = RunEngine(options, 10).report;
 
   EXPECT_EQ(idle.p99_queue_delay_us, 0u);
   EXPECT_GT(flooded.p99_queue_delay_us, idle.p99_queue_delay_us);

@@ -9,6 +9,7 @@
 
 #include "core/selection.h"
 #include "core/verification.h"
+#include "net/sim_network.h"
 #include "sim/network.h"
 
 using namespace sep2p;
@@ -41,10 +42,14 @@ int main() {
 
   // 2. Any node can trigger a computation; node 42 asks for 8 randomly
   //    selected data processors.
+  //    The protocol's messages travel over a zero-fault simulated
+  //    transport; net::TcpTransport runs the same code across processes.
   core::ProtocolContext ctx = net.context();
   core::SelectionProtocol selection(ctx);
+  net::SimNetwork transport(static_cast<uint32_t>(net.directory().size()),
+                            net::kIdealLink, net::RetryPolicy{}, /*seed=*/0);
   util::Rng rng(123);
-  auto outcome = selection.Run(/*trigger_index=*/42, rng);
+  auto outcome = selection.Run(/*trigger_index=*/42, rng, transport);
   if (!outcome.ok()) {
     std::fprintf(stderr, "selection failed: %s\n",
                  outcome.status().ToString().c_str());

@@ -2,8 +2,9 @@
 //
 // Each Scenario runs ONE attacked protocol execution end to end —
 // restart loop included — with the coalition's malicious behaviour
-// plugged into the core protocols through core::AttackHooks (the same
-// seams the benign net::FailureModel uses) or staged at the node layer
+// plugged into the core protocols through core::AttackHooks (consulted
+// between message rounds, acted out by the participants' handlers on a
+// zero-fault transport) or staged at the node layer
 // (poisoned join caches, equivocating distribution). The scenario then
 // reports what an omniscient observer saw: whether the coalition had an
 // opportunity and deviated, whether any honest-observable signal fired,

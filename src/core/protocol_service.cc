@@ -48,11 +48,17 @@ std::optional<std::vector<uint8_t>> TlRevealReply(
 
 SlState BuildSlState(const ProtocolContext& ctx, uint32_t sl_index,
                      const std::vector<uint32_t>& r3_nodes,
-                     bool colluding_sls_hide_honest, util::Rng& rng) {
+                     AttackHooks* attack, util::Rng& rng) {
   const dht::Directory& dir = *ctx.directory;
   SlState state;
   dht::Region coverage = dht::Region::Centered(dir.pos(sl_index), ctx.rs3);
-  const bool hide = colluding_sls_hide_honest && dir.colluding(sl_index);
+  const bool hide = attack != nullptr &&
+                    attack->SlBiasesCandidates(sl_index) &&
+                    dir.colluding(sl_index);
+  // Candidate lists top out at the R3 scan size; reserving up front
+  // keeps the per-SL loop free of regrowth copies.
+  state.cl_indices.reserve(r3_nodes.size());
+  state.cl_keys.reserve(r3_nodes.size());
   for (uint32_t idx : r3_nodes) {
     if (!coverage.Contains(dir.pos(idx))) continue;
     if (hide && !dir.colluding(idx)) continue;  // covert deviation
@@ -98,7 +104,6 @@ ProtocolService::ProtocolService(const ProtocolContext& ctx,
                                  const Options& options)
     : ctx_(ctx),
       transport_(transport),
-      options_(options),
       rng_(options.rng_seed) {
   auto bind = [this, &transport](
                   uint8_t tag,
@@ -170,7 +175,7 @@ std::optional<std::vector<uint8_t>> ProtocolService::OnSlEngage(
     it = sl_state_
              .emplace(key,
                       BuildSlState(ctx_, server, r3_nodes,
-                                   options_.colluding_sls_hide_honest, rng_))
+                                   /*attack=*/nullptr, rng_))
              .first;
   }
   return msg::Encode(msg::CommitReply{it->second.commitment});

@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/attack_hooks.h"
 #include "core/context.h"
 #include "core/messages.h"
 #include "net/transport.h"
@@ -67,11 +68,13 @@ struct SlState {
 };
 
 // Builds an SL's engagement state: intersect `r3_nodes` with the SL's
-// cache coverage (applying the covert hide deviation when configured),
-// draw RND_j from `rng`, and commit to (RND_j, CL_j).
+// cache coverage, draw RND_j from `rng`, and commit to (RND_j, CL_j).
+// A colluding SL for which `attack` (may be null) answers
+// SlBiasesCandidates reports only colluding entries — the covert
+// cache-hiding deviation of §3.5.
 SlState BuildSlState(const ProtocolContext& ctx, uint32_t sl_index,
                      const std::vector<uint32_t>& r3_nodes,
-                     bool colluding_sls_hide_honest, util::Rng& rng);
+                     AttackHooks* attack, util::Rng& rng);
 
 // SL steps 6-7: check own commitment is in L1, reveal (RND_j, CL_j).
 std::optional<std::vector<uint8_t>> SlRevealReply(const SlState& state,
@@ -102,9 +105,6 @@ std::optional<std::vector<uint8_t>> AttestReply(
 class ProtocolService {
  public:
   struct Options {
-    // Mirrors SelectionOptions::colluding_sls_hide_honest for the
-    // resident SL path (off for honest cluster runs).
-    bool colluding_sls_hide_honest = false;
     // Seeds the resident participants' contribution draws. Remote RNDs
     // need no global determinism, but distinct processes should draw
     // distinct values.
@@ -130,7 +130,6 @@ class ProtocolService {
 
   const ProtocolContext& ctx_;
   net::Transport& transport_;
-  Options options_;
   util::Rng rng_;
 
   // (engagement nonce, node index) -> per-engagement state.

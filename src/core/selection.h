@@ -31,7 +31,6 @@
 #include "core/context.h"
 #include "core/vrand.h"
 #include "net/cost.h"
-#include "net/failure.h"
 #include "net/transport.h"
 #include "util/rng.h"
 
@@ -64,39 +63,13 @@ struct VerifiableActorList {
 };
 
 struct SelectionOptions {
-  // Covert-adversary behaviour: colluding SLs report only colluding nodes
-  // in their candidate lists, hoping to skew AL. SEP2P defeats this via
-  // the union with at least one honest SL's full list; the property tests
-  // assert the final AL is unchanged.
-  bool colluding_sls_hide_honest = false;
-  net::FailureModel* failures = nullptr;
-  // Message-level execution: when set, every remote step (the T→TL
-  // commit/reveal inside vrand, DHT routing to S, and the S→SL
-  // engagement, commit/reveal and attestation rounds) travels as typed
-  // messages (core/messages.h) over this transport — net::SimNetwork
-  // for virtual-clock simulation, net::TcpTransport for real sockets —
-  // with per-RPC timeout/retry/backoff. An SL or TL that exhausts its
-  // retry budget during engagement is declared failed and replaced by a
-  // spare candidate; kUnavailable (→ restart with a fresh RND_T) is
-  // reserved for genuinely unreachable quorums and participants lost
-  // after their commitment is fixed. `failures` is ignored in this
-  // mode. The transport must be exclusive to the calling trial (never
-  // shared across driver threads); latency and retry counts accumulate
-  // in its Stats.
-  net::Transport* network = nullptr;
-  // Observability for the DIRECT (non-network) execution path: when
-  // `network` is set its attached recorder/registry take precedence, so
-  // these only matter for the fully in-memory protocol mode. Both are
-  // passive (no randomness drawn, no clock advanced) — observed runs
-  // stay bit-identical to plain ones.
-  obs::TraceRecorder* trace = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
   // Active-adversary seams (core/attack_hooks.h): a non-null hook set
-  // installs malicious TL/SL behaviour on the DIRECT execution path —
-  // reveal withholding inside vrand, candidate-list bias, attestation
-  // withholding and forged attestations. nullptr (the default) keeps
-  // the execution byte-identical to hook-free builds; src/attack/
-  // provides the implementations and measures what they achieve.
+  // installs malicious TL/SL behaviour — reveal withholding inside
+  // vrand, candidate-list bias, attestation withholding and forged
+  // attestations — in the participants' message handlers. nullptr (the
+  // default) keeps the execution byte-identical to hook-free builds;
+  // src/attack/ provides the implementations and measures what they
+  // achieve.
   AttackHooks* attack = nullptr;
   // SIMULATOR-ONLY hook (paper §4.1: "the simulator allows to force
   // choosing a given Execution Setter by artificially fixing the RND_T
@@ -120,8 +93,23 @@ class SelectionProtocol {
     net::Cost cost;  // total setup cost, incl. vrand and routing
   };
 
-  // Runs the full protocol triggered by node `trigger_index`.
+  // Runs the full protocol triggered by node `trigger_index`. Every
+  // remote step (the T→TL commit/reveal inside vrand, DHT routing to S,
+  // and the S→SL engagement, commit/reveal and attestation rounds)
+  // travels as typed messages (core/messages.h) over `network` —
+  // net::SimNetwork for virtual-clock simulation, net::TcpTransport for
+  // real sockets — with per-RPC timeout/retry/backoff. An SL or TL that
+  // exhausts its retry budget during engagement is declared failed and
+  // replaced by a spare candidate; kUnavailable (→ restart with a fresh
+  // RND_T) is reserved for genuinely unreachable quorums and
+  // participants lost after their commitment is fixed. The transport
+  // must be exclusive to the calling trial (never shared across driver
+  // threads); latency and retry counts accumulate in its Stats, and its
+  // attached recorder/registry observe the run passively. Over a
+  // zero-fault SimNetwork (net::kIdealLink) every RPC succeeds on its
+  // first attempt, so the outcome is a pure function of `rng`.
   Result<Outcome> Run(uint32_t trigger_index, util::Rng& rng,
+                      net::Transport& network,
                       const SelectionOptions& options = {}) const;
 
  private:

@@ -35,12 +35,10 @@ Result<core::SelectionProtocol::Outcome> AppRuntime::RunSelection(
     const core::ProtocolContext& ctx, uint32_t trigger_index, util::Rng& rng,
     int max_attempts, int* restarts) {
   core::SelectionProtocol protocol(ctx);
-  core::SelectionOptions options;
-  options.network = network_;
   Result<core::SelectionProtocol::Outcome> run =
       Status::Unavailable("selection: no attempt made");
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    run = protocol.Run(trigger_index, rng, options);
+    run = protocol.Run(trigger_index, rng, *network_);
     if (run.ok()) {
       if (restarts != nullptr) *restarts = attempt - 1;
       if (obs::MetricsRegistry* m = network_->metrics();

@@ -14,15 +14,25 @@ int Strategy::CountCorrupted(const std::vector<uint32_t>& actors) const {
   return corrupted;
 }
 
+namespace {
+
+// AdversaryConfig::hide_honest_cache_entries as a hook: every colluding
+// SL reports only colluding entries in its candidate list.
+class HideHonestEntries final : public core::AttackHooks {
+ public:
+  bool SlBiasesCandidates(uint32_t /*sl_index*/) override { return true; }
+};
+
+}  // namespace
+
 Result<StrategyOutcome> Sep2pStrategy::Run(uint32_t trigger_index,
                                            util::Rng& rng) {
   core::SelectionProtocol protocol(ctx_);
+  HideHonestEntries hide;
   core::SelectionOptions options;
-  options.colluding_sls_hide_honest = adversary_.hide_honest_cache_entries;
-  options.trace = trace_;
-  options.metrics = metrics_;
+  if (adversary_.hide_honest_cache_entries) options.attack = &hide;
   Result<core::SelectionProtocol::Outcome> run =
-      protocol.Run(trigger_index, rng, options);
+      protocol.Run(trigger_index, rng, network_, options);
   if (!run.ok()) return run.status();
 
   StrategyOutcome outcome;

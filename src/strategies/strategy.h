@@ -14,6 +14,7 @@
 #include "core/context.h"
 #include "core/selection.h"
 #include "net/cost.h"
+#include "net/sim_network.h"
 #include "strategies/adversary.h"
 #include "util/rng.h"
 
@@ -37,20 +38,23 @@ struct StrategyOutcome {
 class Strategy {
  public:
   Strategy(const core::ProtocolContext& ctx, const AdversaryConfig& adversary)
-      : ctx_(ctx), adversary_(adversary) {}
+      : ctx_(ctx),
+        adversary_(adversary),
+        network_(static_cast<uint32_t>(ctx.directory->size()),
+                 net::kIdealLink, net::RetryPolicy{}, /*seed=*/0) {}
   virtual ~Strategy() = default;
 
   virtual const char* name() const = 0;
   virtual Result<StrategyOutcome> Run(uint32_t trigger_index,
                                       util::Rng& rng) = 0;
 
-  // Attaches passive observability sinks for subsequent Run calls.
-  // Sep2pStrategy threads them into the selection protocol; baselines
-  // have no protocol phases worth attributing and ignore them.
+  // Attaches passive observability sinks to the strategy's transport
+  // for subsequent Run calls (nullptr detaches). The protocol phases
+  // that run over it (selection, vrand) are recorded and metered.
   void set_observers(obs::TraceRecorder* trace,
                      obs::MetricsRegistry* metrics) {
-    trace_ = trace;
-    metrics_ = metrics;
+    network_.set_trace(trace);
+    network_.set_metrics(metrics);
   }
 
  protected:
@@ -59,8 +63,11 @@ class Strategy {
 
   const core::ProtocolContext& ctx_;
   AdversaryConfig adversary_;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  // The zero-fault transport the protocols run over (net::kIdealLink):
+  // every RPC succeeds on its first attempt, so each Run is a pure
+  // function of its Rng. Owned per strategy, never shared across
+  // threads.
+  net::SimNetwork network_;
 };
 
 // SEP2P itself (wraps core::SelectionProtocol).

@@ -99,9 +99,11 @@ TEST(AdversarySweepTest, NoOpAttackHooksDoNotPerturbSelection) {
   core::AttackHooks noop;
   auto run = [&](core::AttackHooks* hooks) {
     util::Rng rng(99);
+    net::SimNetwork transport = test::MakeIdealNet(1200);
     core::SelectionOptions options;
     options.attack = hooks;
-    auto outcome = protocol.Run(/*trigger_index=*/7, rng, options);
+    auto outcome =
+        protocol.Run(/*trigger_index=*/7, rng, transport, options);
     EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
     return std::make_tuple(
         outcome.ok() ? outcome->actor_indices : std::vector<uint32_t>{},

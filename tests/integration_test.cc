@@ -38,7 +38,9 @@ class IntegrationTest : public ::testing::Test {
 TEST_F(IntegrationTest, SelectionVerifiesUnderRealCrypto) {
   core::ProtocolContext ctx = network_->context();
   core::SelectionProtocol protocol(ctx);
-  auto outcome = protocol.Run(5, rng_);
+  net::SimNetwork transport =
+      test::MakeIdealNet(network_->directory().size());
+  auto outcome = protocol.Run(5, rng_, transport);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   auto cost = core::VerifyActorList(ctx, outcome->val);
   ASSERT_TRUE(cost.ok()) << cost.status().ToString();
@@ -106,8 +108,10 @@ TEST_F(IntegrationTest, StrategiesRunUnderRealCrypto) {
 TEST_F(IntegrationTest, MeterAgreesWithCostModelAcrossWholeSelection) {
   core::ProtocolContext ctx = network_->context();
   core::SelectionProtocol protocol(ctx);
+  net::SimNetwork transport =
+      test::MakeIdealNet(network_->directory().size());
   network_->provider().meter().Reset();
-  auto outcome = protocol.Run(11, rng_);
+  auto outcome = protocol.Run(11, rng_, transport);
   ASSERT_TRUE(outcome.ok());
   // The meter counts every real signature/verification performed during
   // setup; the cost model's crypto_work counts the same operations.

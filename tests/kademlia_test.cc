@@ -142,8 +142,9 @@ TEST(KademliaTest, WorksAsSelectionOverlay) {
   core::ProtocolContext ctx = network->context();
   ctx.overlay = &kad;
   core::SelectionProtocol protocol(ctx);
+  net::SimNetwork transport = test::MakeIdealNet(1500);
   util::Rng rng(7);
-  auto outcome = protocol.Run(5, rng);
+  auto outcome = protocol.Run(5, rng, transport);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->val.actor_count(), ctx.actor_count);
   EXPECT_TRUE(core::VerifyActorList(ctx, outcome->val).ok());

@@ -53,9 +53,7 @@ class TracedSelectionTest : public ::testing::Test {
       net::SimNetwork& simnet, util::Rng& rng, int budget = 25) {
     core::SelectionProtocol protocol(ctx_);
     for (int attempt = 1; attempt <= budget; ++attempt) {
-      core::SelectionOptions options;
-      options.network = &simnet;
-      auto run = protocol.Run(/*trigger_index=*/5, rng, options);
+      auto run = protocol.Run(/*trigger_index=*/5, rng, simnet);
       if (run.ok() || run.status().code() != StatusCode::kUnavailable) {
         return run;
       }
@@ -374,9 +372,7 @@ class ExportTest : public ::testing::Test {
     core::SelectionProtocol protocol(ctx_);
     util::Rng rng(31);
     for (int attempt = 0; attempt < 25; ++attempt) {
-      core::SelectionOptions options;
-      options.network = simnet_.get();
-      auto run = protocol.Run(/*trigger_index=*/5, rng, options);
+      auto run = protocol.Run(/*trigger_index=*/5, rng, *simnet_);
       if (run.ok()) break;
       ASSERT_EQ(run.status().code(), StatusCode::kUnavailable);
     }

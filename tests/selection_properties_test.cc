@@ -41,11 +41,13 @@ class SelectionSweepTest : public ::testing::TestWithParam<SweepParam> {
 
 TEST_P(SelectionSweepTest, ContractHoldsForSeveralTriggers) {
   SelectionProtocol protocol(ctx_);
+  net::SimNetwork transport =
+      test::MakeIdealNet(network_->directory().size());
   util::Rng rng(9);
   for (int trial = 0; trial < 6; ++trial) {
     uint32_t trigger =
         static_cast<uint32_t>(rng.NextUint64(network_->directory().size()));
-    auto outcome = protocol.Run(trigger, rng);
+    auto outcome = protocol.Run(trigger, rng, transport);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
 
     // A actors, all distinct, all legitimate for R3.
@@ -183,13 +185,14 @@ TEST(SetterDistributionTest, SettersSpreadAcrossTheRing) {
   ASSERT_NE(network, nullptr);
   core::ProtocolContext ctx = network->context();
   SelectionProtocol protocol(ctx);
+  net::SimNetwork transport = test::MakeIdealNet(2000);
   util::Rng rng(11);
   int buckets[8] = {};
   const int kRuns = 160;
   for (int run = 0; run < kRuns; ++run) {
     uint32_t trigger =
         static_cast<uint32_t>(rng.NextUint64(network->directory().size()));
-    auto outcome = protocol.Run(trigger, rng);
+    auto outcome = protocol.Run(trigger, rng, transport);
     ASSERT_TRUE(outcome.ok());
     dht::RingPos pos =
         network->directory().pos(outcome->setter_index);

@@ -257,9 +257,7 @@ class SelectionOverNetworkTest : public ::testing::Test {
       SimNetwork& simnet, util::Rng& rng, int budget = 25) {
     core::SelectionProtocol protocol(ctx_);
     for (int attempt = 1; attempt <= budget; ++attempt) {
-      core::SelectionOptions options;
-      options.network = &simnet;
-      auto run = protocol.Run(/*trigger_index=*/5, rng, options);
+      auto run = protocol.Run(/*trigger_index=*/5, rng, simnet);
       if (run.ok() || run.status().code() != StatusCode::kUnavailable) {
         return run;
       }

@@ -64,6 +64,13 @@ inline net::SimNetwork MakeSimNet(uint32_t node_count, double drop = 0.0,
   return net::SimNetwork(node_count, link, net::RetryPolicy{}, seed);
 }
 
+// Ideal transport (net::kIdealLink) for protocol-layer tests: every RPC
+// succeeds on its first attempt and no virtual time passes.
+inline net::SimNetwork MakeIdealNet(uint32_t node_count) {
+  return net::SimNetwork(node_count, net::kIdealLink, net::RetryPolicy{},
+                         /*seed=*/0);
+}
+
 // Zero-fault message network (no jitter, no drops): every RPC succeeds
 // on the first attempt and virtual time is a pure function of the call
 // sequence, so measured costs are exactly comparable to the legacy

@@ -12,7 +12,6 @@
 #include <set>
 #include <vector>
 
-#include "net/failure.h"
 #include "sim/experiment.h"
 #include "sim/metrics.h"
 #include "sim/network.h"
@@ -238,50 +237,6 @@ TEST(TrialRunnerTest, CacheSweepBitIdenticalAcrossThreadCounts) {
               (*parallel)[i].relocated_fraction);
     EXPECT_EQ((*serial)[i].failed_fraction, (*parallel)[i].failed_fraction);
     EXPECT_EQ((*serial)[i].setup_msg_work, (*parallel)[i].setup_msg_work);
-  }
-}
-
-// net::FailureModel mutates its Rng on every ShouldFail() draw, so the
-// thread contract (failure.h) demands one instance per trial, seeded
-// from the trial's stream. This test exercises exactly that pattern
-// under heavy threading — the TSan build (-DSEP2P_SANITIZE=thread, test
-// filter 'ThreadPool|TrialRunner') would flag any cross-thread sharing
-// — and the serial comparison pins the bit-identical results.
-TEST(TrialRunnerTest, PerTrialFailureModelsAreThreadConfined) {
-  constexpr int kTrials = 512;
-  constexpr uint64_t kModelSalt = 0xdead;
-  auto run = [&](int threads, std::vector<int>& hits) {
-    hits.assign(kTrials, 0);
-    TrialRunner runner(threads);
-    return runner.RunTrials(kTrials, 42, [&](int t, util::Rng& rng) {
-      net::FailureModel failures(
-          0.3, StreamSeed(MixSeed(42, kModelSalt),
-                          static_cast<uint64_t>(t)));
-      (void)rng;
-      for (int step = 0; step < 64; ++step) {
-        if (failures.ShouldFail()) ++hits[t];
-      }
-      return Status::Ok();
-    });
-  };
-  std::vector<int> serial, parallel;
-  ASSERT_TRUE(run(1, serial).ok());
-  ASSERT_TRUE(run(8, parallel).ok());
-  EXPECT_EQ(serial, parallel);
-}
-
-TEST(TrialRunnerTest, FailureSweepBitIdenticalAcrossThreadCounts) {
-  const std::vector<double> probabilities = {0.0, 0.02};
-  auto serial = RunFailureSweep(SmallNet(1), probabilities, /*trials=*/40);
-  auto parallel = RunFailureSweep(SmallNet(8), probabilities, /*trials=*/40);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  ASSERT_EQ(serial->size(), parallel->size());
-  for (size_t i = 0; i < serial->size(); ++i) {
-    EXPECT_EQ((*serial)[i].first_try_success_rate,
-              (*parallel)[i].first_try_success_rate);
-    EXPECT_EQ((*serial)[i].avg_attempts, (*parallel)[i].avg_attempts);
-    EXPECT_EQ((*serial)[i].give_up_rate, (*parallel)[i].give_up_rate);
   }
 }
 

@@ -18,8 +18,9 @@ class VerificationTest : public ::testing::Test {
     ASSERT_NE(network_, nullptr);
     ctx_ = network_->context();
     SelectionProtocol protocol(ctx_);
+    net::SimNetwork transport = test::MakeIdealNet(3000);
     util::Rng rng(21);
-    auto outcome = protocol.Run(/*trigger_index=*/4, rng);
+    auto outcome = protocol.Run(/*trigger_index=*/4, rng, transport);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     val_ = outcome->val;
   }

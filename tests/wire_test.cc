@@ -16,14 +16,15 @@ class WireTest : public ::testing::Test {
     ASSERT_NE(network_, nullptr);
     ctx_ = network_->context();
     util::Rng rng(77);
+    net::SimNetwork transport = test::MakeIdealNet(1500);
 
     VrandProtocol vrand(ctx_);
-    auto vr = vrand.Generate(3, rng);
+    auto vr = vrand.Generate(3, rng, transport);
     ASSERT_TRUE(vr.ok());
     vrnd_ = vr->vrnd;
 
     SelectionProtocol selection(ctx_);
-    auto run = selection.Run(3, rng);
+    auto run = selection.Run(3, rng, transport);
     ASSERT_TRUE(run.ok());
     val_ = run->val;
   }

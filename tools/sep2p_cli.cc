@@ -203,10 +203,12 @@ int CmdSelect(const Flags& flags) {
 
   core::ProtocolContext ctx = net.context();
   core::SelectionProtocol selection(ctx);
+  net::SimNetwork transport(static_cast<uint32_t>(net.directory().size()),
+                            net::kIdealLink, net::RetryPolicy{}, /*seed=*/0);
   util::Rng rng(flags.params.seed ^ 0xc11);
   uint32_t trigger =
       static_cast<uint32_t>(rng.NextUint64(net.directory().size()));
-  auto outcome = selection.Run(trigger, rng);
+  auto outcome = selection.Run(trigger, rng, transport);
   if (!outcome.ok()) {
     std::fprintf(stderr, "selection failed: %s\n",
                  outcome.status().ToString().c_str());

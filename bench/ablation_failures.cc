@@ -56,8 +56,7 @@ int main(int argc, char** argv) {
   // first trials, --metrics meters every one of its trials.
   const int msg_trials = quick ? 25 : 100;
   auto msg_points =
-      sim::RunMessageFailureSweep(params, settings, msg_trials, 25,
-                                  obs.get());
+      sim::RunMessageFailureSweep(params, settings, msg_trials, obs.get());
   if (!msg_points.ok()) {
     std::fprintf(stderr, "error: %s\n",
                  msg_points.status().ToString().c_str());

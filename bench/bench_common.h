@@ -3,6 +3,9 @@
 #ifndef SEP2P_BENCH_BENCH_COMMON_H_
 #define SEP2P_BENCH_BENCH_COMMON_H_
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,19 +30,42 @@ inline bool QuickMode(int argc, char** argv) {
   return false;
 }
 
+// Value of the integer flag `name` (`name=N` or `name N`; the first
+// occurrence wins), or `fallback` when the flag is absent. A value that
+// is not a non-negative decimal integer prints the flag and exits with
+// status 2, so a typo never silently selects a default.
+inline int NonNegativeIntArg(int argc, char** argv, const char* name,
+                             int fallback) {
+  const size_t len = std::strlen(name);
+  for (int i = 1; i < argc; ++i) {
+    const char* value = nullptr;
+    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
+      value = argv[i] + len + 1;
+    } else if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) {
+      value = argv[i + 1];
+    } else {
+      continue;
+    }
+    char* end = nullptr;
+    errno = 0;
+    const long parsed = std::strtol(value, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(value[0])) ||
+        *end != '\0' || errno == ERANGE || parsed > INT_MAX) {
+      std::fprintf(stderr,
+                   "invalid %s value '%s': want a non-negative integer\n",
+                   name, value);
+      std::exit(2);
+    }
+    return static_cast<int>(parsed);
+  }
+  return fallback;
+}
+
 // --threads=N / --threads N caps the worker count for network build and
 // trial execution; 0 (the default) means one per hardware thread.
 // Results are bit-identical for every value — only wall-clock changes.
 inline int ThreadsArg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      return std::atoi(argv[i] + 10);
-    }
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      return std::atoi(argv[i + 1]);
-    }
-  }
-  return 0;
+  return NonNegativeIntArg(argc, argv, "--threads", 0);
 }
 
 // --trace=FILE / --trace FILE: record the first --trace-trials trials
@@ -60,15 +86,7 @@ inline std::string TraceArg(int argc, char** argv) {
 // --trace-trials=N / --trace-trials N caps how many trials --trace
 // records (default 1, the historical single representative trial).
 inline int TraceTrialsArg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--trace-trials=", 15) == 0) {
-      return std::atoi(argv[i] + 15);
-    }
-    if (std::strcmp(argv[i], "--trace-trials") == 0 && i + 1 < argc) {
-      return std::atoi(argv[i + 1]);
-    }
-  }
-  return 1;
+  return NonNegativeIntArg(argc, argv, "--trace-trials", 1);
 }
 
 // --metrics=FILE / --metrics FILE: write the sweep's merged

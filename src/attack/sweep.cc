@@ -1,6 +1,5 @@
 #include "attack/sweep.h"
 
-#include <algorithm>
 #include <memory>
 
 #include "attack/oracle.h"
@@ -31,40 +30,6 @@ uint64_t FnvFold(uint64_t h, uint64_t v) {
   return h;
 }
 
-// The observer plumbing below replicates the file-static helpers of
-// sim/experiment.cc (same contract, same slot discipline).
-void PrepareRecorders(const sim::SweepObservers* observers, int trials) {
-  if (observers == nullptr || observers->recorders == nullptr) return;
-  const int count = std::clamp(observers->trace_trials, 0, trials);
-  observers->recorders->clear();
-  observers->recorders->resize(static_cast<size_t>(count));
-}
-
-obs::TraceRecorder* RecorderFor(const sim::SweepObservers* observers,
-                                size_t point, int t) {
-  if (observers == nullptr || observers->recorders == nullptr ||
-      point != 0 || t < 0 ||
-      static_cast<size_t>(t) >= observers->recorders->size()) {
-    return nullptr;
-  }
-  return &(*observers->recorders)[static_cast<size_t>(t)];
-}
-
-std::vector<obs::MetricsRegistry> MakeShardMetrics(
-    const sim::SweepObservers* observers, int trials) {
-  if (observers == nullptr || observers->metrics == nullptr) return {};
-  return std::vector<obs::MetricsRegistry>(
-      static_cast<size_t>(sim::TrialRunner::ShardCount(trials)));
-}
-
-void FoldShardMetrics(const sim::SweepObservers* observers,
-                      const std::vector<obs::MetricsRegistry>& shards) {
-  if (observers == nullptr || observers->metrics == nullptr) return;
-  for (const obs::MetricsRegistry& shard : shards) {
-    observers->metrics->Merge(shard);
-  }
-}
-
 }  // namespace
 
 Result<std::vector<AdversaryPoint>> RunAdversarySweep(
@@ -73,7 +38,6 @@ Result<std::vector<AdversaryPoint>> RunAdversarySweep(
     const sim::SweepObservers* observers) {
   std::vector<AdversaryPoint> points;
   sim::TrialRunner runner(base.threads);
-  PrepareRecorders(observers, trials);
 
   sim::Parameters params = base;
   Result<std::unique_ptr<sim::Network>> network = sim::Network::Build(params);
@@ -91,7 +55,7 @@ Result<std::vector<AdversaryPoint>> RunAdversarySweep(
 
     // One slot per trial: each trial writes only its own slot and the
     // slots fold in trial order afterwards — bit-identical for any
-    // thread count (sim/experiment.cc discipline).
+    // thread count.
     struct TrialResult {
       uint8_t attempted = 0;
       uint8_t detected = 0;
@@ -113,70 +77,55 @@ Result<std::vector<AdversaryPoint>> RunAdversarySweep(
         sim::MixSeed(params.seed, kAdversaryTrialSalt, 0, si);
     const uint64_t colluder_seed =
         sim::MixSeed(params.seed, kAdversaryColluderSalt, 0, si);
-    std::vector<obs::MetricsRegistry> shard_metrics =
-        MakeShardMetrics(observers, trials);
 
-    // Colluder placement refreshes every kShardSize trials at epoch
-    // barriers (the shared Directory mutates only here); within an
-    // epoch the coalition is frozen and trials run in parallel against
-    // read-only state.
-    for (int begin = 0; begin < trials;
-         begin += sim::TrialRunner::kShardSize) {
-      const int epoch = begin / sim::TrialRunner::kShardSize;
-      util::Rng colluder_rng(
-          sim::StreamSeed(colluder_seed, static_cast<uint64_t>(epoch)));
-      net.ReassignColluders(colluder_rng);
+    // Colluder placement refreshes every epoch at a barrier (the shared
+    // Directory mutates only there); within an epoch the coalition is
+    // frozen.
+    Status status = runner.RunPoint(
+        si, trials, trial_seed, observers,
+        [&](int epoch) {
+          util::Rng colluder_rng(
+              sim::StreamSeed(colluder_seed, static_cast<uint64_t>(epoch)));
+          net.ReassignColluders(colluder_rng);
+        },
+        [&](const sim::Trial& trial) {
+          std::unique_ptr<Scenario> scenario =
+              MakeScenario(name, ctx, net.ColluderIndices());
 
-      const int end =
-          std::min(begin + sim::TrialRunner::kShardSize, trials);
-      Status status = runner.RunTrialRange(
-          begin, end, trial_seed, [&](int t, util::Rng& rng) {
-            std::unique_ptr<Scenario> scenario =
-                MakeScenario(name, ctx, net.ColluderIndices());
-            obs::MetricsRegistry* met =
-                shard_metrics.empty()
-                    ? nullptr
-                    : &shard_metrics[static_cast<size_t>(
-                          t / sim::TrialRunner::kShardSize)];
-            if (met != nullptr) met->Inc(obs::Counter::kTrials);
+          // Every trial records into a trace so the oracle can replay
+          // the checker invariants; the observers' slot (when this
+          // trial owns one) doubles as that recorder.
+          obs::TraceRecorder local;
+          obs::TraceRecorder& rec =
+              trial.rec != nullptr ? *trial.rec : local;
+          rec.meta().node_count =
+              static_cast<uint32_t>(net.directory().size());
 
-            // Every trial records into a trace so the oracle can replay
-            // the checker invariants; the observers' slot (when this
-            // trial owns one) doubles as that recorder.
-            obs::TraceRecorder local;
-            obs::TraceRecorder* slot_rec = RecorderFor(observers, si, t);
-            obs::TraceRecorder& rec =
-                slot_rec != nullptr ? *slot_rec : local;
-            rec.meta().node_count =
-                static_cast<uint32_t>(net.directory().size());
+          const uint32_t trigger = static_cast<uint32_t>(
+              trial.rng.NextUint64(net.directory().size()));
+          Result<AttackOutcome> run =
+              scenario->Run(trigger, trial.rng, &rec, trial.met);
+          if (!run.ok()) return run.status();
 
-            const uint32_t trigger = static_cast<uint32_t>(
-                rng.NextUint64(net.directory().size()));
-            Result<AttackOutcome> run =
-                scenario->Run(trigger, rng, &rec, met);
-            if (!run.ok()) return run.status();
-
-            const Verdict verdict = Judge(*run, &rec.trace());
-            TrialResult& slot = slots[static_cast<size_t>(t)];
-            slot.attempted = run->attempted ? 1 : 0;
-            slot.detected = verdict.detected ? 1 : 0;
-            slot.accepted = run->accepted ? 1 : 0;
-            slot.succeeded = run->succeeded ? 1 : 0;
-            slot.corrupted = run->corrupted_actors;
-            slot.actor_count = run->actor_count;
-            slot.strikes = run->strikes;
-            slot.attempts = run->attempts;
-            slot.restarts = run->restarts;
-            slot.relocations = run->relocations;
-            slot.verification = run->verification_cost;
-            slot.crypto_work = run->cost.crypto_work;
-            slot.msg_work = run->cost.msg_work;
-            slot.checker_violations = verdict.checker_violations;
-            return Status::Ok();
-          });
-      if (!status.ok()) return status;
-    }
-    FoldShardMetrics(observers, shard_metrics);
+          const Verdict verdict = Judge(*run, &rec.trace());
+          TrialResult& slot = slots[static_cast<size_t>(trial.t)];
+          slot.attempted = run->attempted ? 1 : 0;
+          slot.detected = verdict.detected ? 1 : 0;
+          slot.accepted = run->accepted ? 1 : 0;
+          slot.succeeded = run->succeeded ? 1 : 0;
+          slot.corrupted = run->corrupted_actors;
+          slot.actor_count = run->actor_count;
+          slot.strikes = run->strikes;
+          slot.attempts = run->attempts;
+          slot.restarts = run->restarts;
+          slot.relocations = run->relocations;
+          slot.verification = run->verification_cost;
+          slot.crypto_work = run->cost.crypto_work;
+          slot.msg_work = run->cost.msg_work;
+          slot.checker_violations = verdict.checker_violations;
+          return Status::Ok();
+        });
+    if (!status.ok()) return status;
 
     AdversaryPoint point;
     point.scenario = name;

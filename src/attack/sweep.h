@@ -7,13 +7,14 @@
 // bound (§4.2: effectiveness = A_C^ideal / A_C, capped at 1), and the
 // attack's cost overhead relative to the honest "none" baseline row.
 //
-// Determinism mirrors sim::RunStrategyComparison exactly: per-trial
-// SplitMix64 streams from a sweep-private salt family, colluder
-// reassignment at kShardSize epoch barriers through the SAME
-// strategies::SampleColluders rule the closed-form model uses,
-// slot-per-trial results folded in trial order, and a per-point FNV-1a
-// digest over every trial's outcome fields — bit-identical for any
-// --threads value, which bench/ablation_adversary audits.
+// Each scenario is one sweep point of sim::TrialRunner::RunPoint, which
+// supplies the determinism rules: per-trial SplitMix64 streams from a
+// sweep-private salt family and colluder reassignment at kShardSize
+// epoch barriers, here through the SAME strategies::SampleColluders
+// rule the closed-form model uses. Slot-per-trial results fold in trial
+// order into a per-point FNV-1a digest over every trial's outcome
+// fields — bit-identical for any --threads value, which
+// bench/ablation_adversary audits.
 
 #ifndef SEP2P_ATTACK_SWEEP_H_
 #define SEP2P_ATTACK_SWEEP_H_
@@ -22,8 +23,8 @@
 #include <string>
 #include <vector>
 
-#include "sim/experiment.h"
 #include "sim/parameters.h"
+#include "sim/trial_runner.h"
 #include "util/status.h"
 
 namespace sep2p::attack {

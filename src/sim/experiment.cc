@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <optional>
 
 #include "apps/sensing.h"
 #include "core/ktable.h"
@@ -30,43 +32,58 @@ constexpr uint64_t kMessageNetSalt = 0x4e7411e7;
 constexpr uint64_t kAppTrialSalt = 0xa9905a17;
 constexpr uint64_t kAppNetSalt = 0xa9905e7a;
 
-// Sizes observers->recorders so that trial t of the first sweep point
-// owns slot t; called before any parallel section (the resize is the
-// only operation that touches more than one slot).
-void PrepareRecorders(const SweepObservers* observers, int trials) {
-  if (observers == nullptr || observers->recorders == nullptr) return;
-  const int count = std::clamp(observers->trace_trials, 0, trials);
-  observers->recorders->clear();
-  observers->recorders->resize(static_cast<size_t>(count));
+// Fresh-RND_T attempts a failure-sweep trial gets before it gives up.
+constexpr int kMaxSelectionAttempts = 25;
+
+// True for the last trial of its shard. State that a shard's trials
+// share (a transport whose RPC ids run on across them) is dropped
+// there, so only shards in flight hold one.
+bool EndsShard(const Trial& trial, int trials) {
+  return (trial.t + 1) % TrialRunner::kShardSize == 0 ||
+         trial.t + 1 == trials;
 }
 
-// The recorder trial `t` of point `point` gets (nullptr = untraced):
-// only the first point's first trace_trials trials record, and each
-// traced trial is the sole writer of its slot.
-obs::TraceRecorder* RecorderFor(const SweepObservers* observers,
-                                size_t point, int t) {
-  if (observers == nullptr || observers->recorders == nullptr ||
-      point != 0 || t < 0 ||
-      static_cast<size_t>(t) >= observers->recorders->size()) {
-    return nullptr;
+// One passive SEP2P selection from a random trigger, on the strategy
+// that the trial's shard shares.
+Result<strategies::StrategyOutcome> RunShardSelection(
+    std::optional<strategies::Sep2pStrategy>& strategy,
+    const core::ProtocolContext& ctx, const Trial& trial, int trials) {
+  if (!strategy) {
+    strategy.emplace(ctx, strategies::AdversaryConfig::Passive());
   }
-  return &(*observers->recorders)[static_cast<size_t>(t)];
+  strategy->set_observers(trial.rec, trial.met);
+  const uint32_t trigger = static_cast<uint32_t>(
+      trial.rng.NextUint64(ctx.directory->size()));
+  Result<strategies::StrategyOutcome> run = strategy->Run(trigger, trial.rng);
+  if (EndsShard(trial, trials)) strategy.reset();
+  return run;
 }
 
-// Shard-local registries for one parallel section (empty = metering
-// off); merged into observers->metrics in shard order afterwards.
-std::vector<obs::MetricsRegistry> MakeShardMetrics(
-    const SweepObservers* observers, int trials) {
-  if (observers == nullptr || observers->metrics == nullptr) return {};
-  return std::vector<obs::MetricsRegistry>(
-      static_cast<size_t>(TrialRunner::ShardCount(trials)));
+// A failure-sweep trial's private faulty transport: every latency, drop
+// and crash draw comes from the trial's own network stream, which keeps
+// trials embarrassingly parallel, and the trial's observers watch it.
+// Observation is passive, so observed trials' results are unchanged.
+std::unique_ptr<net::SimNetwork> FaultyNetwork(
+    uint32_t node_count, const MessageFailureSetting& setting,
+    uint64_t net_seed, const Trial& trial) {
+  net::LinkModel link;
+  link.drop_probability = setting.drop_probability;
+  link.jitter_mean_us = setting.jitter_mean_us;
+  auto simnet = std::make_unique<net::SimNetwork>(
+      node_count, link, net::RetryPolicy{},  // library defaults
+      StreamSeed(net_seed, static_cast<uint64_t>(trial.t)));
+  simnet->set_step_crash_probability(setting.step_crash_probability);
+  simnet->set_trace(trial.rec);
+  simnet->set_metrics(trial.met);
+  return simnet;
 }
 
-void FoldShardMetrics(const SweepObservers* observers,
-                      const std::vector<obs::MetricsRegistry>& shards) {
-  if (observers == nullptr || observers->metrics == nullptr) return;
-  for (const obs::MetricsRegistry& shard : shards) {
-    observers->metrics->Merge(shard);
+// Closes a faulty trial's observation: the trace's shutdown mark and
+// the trial's virtual-clock latency.
+void FinishFaultyTrial(net::SimNetwork& simnet, const Trial& trial) {
+  simnet.FinalizeTrace();
+  if (trial.met != nullptr) {
+    trial.met->Observe(obs::Hist::kTrialLatencyUs, simnet.now_us());
   }
 }
 
@@ -78,7 +95,6 @@ Result<std::vector<StrategyPoint>> RunStrategyComparison(
     const SweepObservers* observers) {
   std::vector<StrategyPoint> points;
   TrialRunner runner(base.threads);
-  PrepareRecorders(observers, trials);
 
   for (size_t ci = 0; ci < c_fractions.size(); ++ci) {
     Parameters params = base;
@@ -113,54 +129,38 @@ Result<std::vector<StrategyPoint>> RunStrategyComparison(
       const uint64_t colluder_seed =
           MixSeed(params.seed, kStrategyColluderSalt, ci, si);
       const size_t point_index = ci * strategy_names.size() + si;
-      std::vector<obs::MetricsRegistry> shard_metrics =
-          MakeShardMetrics(observers, trials);
 
-      // Fresh colluder placement every kShardSize trials decorrelates
-      // the "is a colluder near hash(RND_T)" events. Reassignment
-      // mutates the shared Directory, so it happens at epoch barriers;
-      // within an epoch the assignment is frozen and trials run in
-      // parallel against read-only state.
-      for (int begin = 0; begin < trials;
-           begin += TrialRunner::kShardSize) {
-        const int epoch = begin / TrialRunner::kShardSize;
-        util::Rng colluder_rng(
-            StreamSeed(colluder_seed, static_cast<uint64_t>(epoch)));
-        net.ReassignColluders(colluder_rng);
-
-        const int end = std::min(begin + TrialRunner::kShardSize, trials);
-        Status status = runner.RunTrialRange(
-            begin, end, trial_seed, [&](int t, util::Rng& rng) {
-              std::unique_ptr<strategies::Strategy> strategy =
-                  strategies::MakeStrategy(name, ctx, adversary);
-              // One epoch = one shard (kShardSize trials on one
-              // worker), so indexing by t / kShardSize is race-free.
-              obs::MetricsRegistry* met =
-                  shard_metrics.empty()
-                      ? nullptr
-                      : &shard_metrics[static_cast<size_t>(
-                            t / TrialRunner::kShardSize)];
-              strategy->set_observers(
-                  RecorderFor(observers, point_index, t), met);
-              if (met != nullptr) met->Inc(obs::Counter::kTrials);
-              uint32_t trigger = static_cast<uint32_t>(
-                  rng.NextUint64(net.directory().size()));
-              Result<strategies::StrategyOutcome> run =
-                  strategy->Run(trigger, rng);
-              if (!run.ok()) return run.status();
-              TrialResult& slot = slots[t];
-              slot.corrupted = run->corrupted_actors;
-              slot.verification = run->verification_cost;
-              slot.crypto_lat = run->setup_cost.crypto_latency;
-              slot.crypto_work = run->setup_cost.crypto_work;
-              slot.msg_lat = run->setup_cost.msg_latency;
-              slot.msg_work = run->setup_cost.msg_work;
-              slot.relocations = run->relocations;
-              return Status::Ok();
-            });
-        if (!status.ok()) return status;
-      }
-      FoldShardMetrics(observers, shard_metrics);
+      // Fresh colluder placement every epoch decorrelates the "is a
+      // colluder near hash(RND_T)" events. Reassignment mutates the
+      // shared Directory, so it happens at epoch barriers; within an
+      // epoch the assignment is frozen.
+      Status status = runner.RunPoint(
+          point_index, trials, trial_seed, observers,
+          [&](int epoch) {
+            util::Rng colluder_rng(
+                StreamSeed(colluder_seed, static_cast<uint64_t>(epoch)));
+            net.ReassignColluders(colluder_rng);
+          },
+          [&](const Trial& trial) {
+            std::unique_ptr<strategies::Strategy> strategy =
+                strategies::MakeStrategy(name, ctx, adversary);
+            strategy->set_observers(trial.rec, trial.met);
+            uint32_t trigger = static_cast<uint32_t>(
+                trial.rng.NextUint64(net.directory().size()));
+            Result<strategies::StrategyOutcome> run =
+                strategy->Run(trigger, trial.rng);
+            if (!run.ok()) return run.status();
+            TrialResult& slot = slots[trial.t];
+            slot.corrupted = run->corrupted_actors;
+            slot.verification = run->verification_cost;
+            slot.crypto_lat = run->setup_cost.crypto_latency;
+            slot.crypto_work = run->setup_cost.crypto_work;
+            slot.msg_lat = run->setup_cost.msg_latency;
+            slot.msg_work = run->setup_cost.msg_work;
+            slot.relocations = run->relocations;
+            return Status::Ok();
+          });
+      if (!status.ok()) return status;
 
       OnlineStats corrupted, verification, crypto_lat, crypto_work, msg_lat,
           msg_work, relocations;
@@ -260,7 +260,6 @@ Result<std::vector<CachePoint>> RunCacheSweep(
   if (!network.ok()) return network.status();
   Network& net = *network.value();
   TrialRunner runner(base.threads);
-  PrepareRecorders(observers, trials);
 
   std::vector<CachePoint> points;
   for (size_t pi = 0; pi < cache_sizes.size(); ++pi) {
@@ -274,49 +273,36 @@ Result<std::vector<CachePoint>> RunCacheSweep(
     const uint64_t trial_seed = MixSeed(base.seed, kCacheTrialSalt, pi);
 
     struct Shard {
+      std::optional<strategies::Sep2pStrategy> strategy;
       OnlineStats reloc, crypto_lat, crypto_work, msg_lat, msg_work;
       int relocated_runs = 0;
       int failed_runs = 0;
     };
     std::vector<Shard> shards(TrialRunner::ShardCount(trials));
-    std::vector<obs::MetricsRegistry> shard_metrics =
-        MakeShardMetrics(observers, trials);
-    Status status = runner.RunShards(
-        trials, [&](int shard, int begin, int end) {
-          Shard& sh = shards[shard];
-          obs::MetricsRegistry* met =
-              shard_metrics.empty() ? nullptr : &shard_metrics[shard];
-          strategies::Sep2pStrategy strategy(
-              ctx, strategies::AdversaryConfig::Passive());
-          for (int t = begin; t < end; ++t) {
-            util::Rng rng(StreamSeed(trial_seed, static_cast<uint64_t>(t)));
-            strategy.set_observers(RecorderFor(observers, pi, t), met);
-            if (met != nullptr) met->Inc(obs::Counter::kTrials);
-            uint32_t trigger = static_cast<uint32_t>(
-                rng.NextUint64(net.directory().size()));
-            Result<strategies::StrategyOutcome> run =
-                strategy.Run(trigger, rng);
-            if (!run.ok()) {
-              // A cache smaller than A can make the selection
-              // impossible; that is a data point (the paper's "sparse
-              // regions cannot fully take part"), not a harness error.
-              if (run.status().code() == StatusCode::kResourceExhausted) {
-                ++sh.failed_runs;
-                continue;
-              }
-              return run.status();
+    Status status = runner.RunPoint(
+        pi, trials, trial_seed, observers, {}, [&](const Trial& trial) {
+          Shard& sh = shards[trial.shard];
+          Result<strategies::StrategyOutcome> run =
+              RunShardSelection(sh.strategy, ctx, trial, trials);
+          if (!run.ok()) {
+            // A cache smaller than A can make the selection impossible;
+            // that is a data point (the paper's "sparse regions cannot
+            // fully take part"), not a harness error.
+            if (run.status().code() == StatusCode::kResourceExhausted) {
+              ++sh.failed_runs;
+              return Status::Ok();
             }
-            sh.reloc.Add(run->relocations);
-            if (run->relocations > 0) ++sh.relocated_runs;
-            sh.crypto_lat.Add(run->setup_cost.crypto_latency);
-            sh.crypto_work.Add(run->setup_cost.crypto_work);
-            sh.msg_lat.Add(run->setup_cost.msg_latency);
-            sh.msg_work.Add(run->setup_cost.msg_work);
+            return run.status();
           }
+          sh.reloc.Add(run->relocations);
+          if (run->relocations > 0) ++sh.relocated_runs;
+          sh.crypto_lat.Add(run->setup_cost.crypto_latency);
+          sh.crypto_work.Add(run->setup_cost.crypto_work);
+          sh.msg_lat.Add(run->setup_cost.msg_latency);
+          sh.msg_work.Add(run->setup_cost.msg_work);
           return Status::Ok();
         });
     if (!status.ok()) return status;
-    FoldShardMetrics(observers, shard_metrics);
 
     OnlineStats reloc, crypto_lat, crypto_work, msg_lat, msg_work;
     int relocated_runs = 0;
@@ -355,7 +341,6 @@ Result<std::vector<ActorsPoint>> RunActorSweep(
   if (!network.ok()) return network.status();
   Network& net = *network.value();
   TrialRunner runner(base.threads);
-  PrepareRecorders(observers, trials);
 
   std::vector<ActorsPoint> points;
   for (size_t pi = 0; pi < actor_counts.size(); ++pi) {
@@ -368,35 +353,22 @@ Result<std::vector<ActorsPoint>> RunActorSweep(
     const uint64_t trial_seed = MixSeed(base.seed, kActorTrialSalt, pi);
 
     struct Shard {
+      std::optional<strategies::Sep2pStrategy> strategy;
       OnlineStats crypto_work, msg_work, verification;
     };
     std::vector<Shard> shards(TrialRunner::ShardCount(trials));
-    std::vector<obs::MetricsRegistry> shard_metrics =
-        MakeShardMetrics(observers, trials);
-    Status status = runner.RunShards(
-        trials, [&](int shard, int begin, int end) {
-          Shard& sh = shards[shard];
-          obs::MetricsRegistry* met =
-              shard_metrics.empty() ? nullptr : &shard_metrics[shard];
-          strategies::Sep2pStrategy strategy(
-              ctx, strategies::AdversaryConfig::Passive());
-          for (int t = begin; t < end; ++t) {
-            util::Rng rng(StreamSeed(trial_seed, static_cast<uint64_t>(t)));
-            strategy.set_observers(RecorderFor(observers, pi, t), met);
-            if (met != nullptr) met->Inc(obs::Counter::kTrials);
-            uint32_t trigger = static_cast<uint32_t>(
-                rng.NextUint64(net.directory().size()));
-            Result<strategies::StrategyOutcome> run =
-                strategy.Run(trigger, rng);
-            if (!run.ok()) return run.status();
-            sh.crypto_work.Add(run->setup_cost.crypto_work);
-            sh.msg_work.Add(run->setup_cost.msg_work);
-            sh.verification.Add(run->verification_cost);
-          }
+    Status status = runner.RunPoint(
+        pi, trials, trial_seed, observers, {}, [&](const Trial& trial) {
+          Shard& sh = shards[trial.shard];
+          Result<strategies::StrategyOutcome> run =
+              RunShardSelection(sh.strategy, ctx, trial, trials);
+          if (!run.ok()) return run.status();
+          sh.crypto_work.Add(run->setup_cost.crypto_work);
+          sh.msg_work.Add(run->setup_cost.msg_work);
+          sh.verification.Add(run->verification_cost);
           return Status::Ok();
         });
     if (!status.ok()) return status;
-    FoldShardMetrics(observers, shard_metrics);
 
     OnlineStats crypto_work, msg_work, verification;
     for (const Shard& sh : shards) {
@@ -444,52 +416,46 @@ Result<ExhaustiveStats> RunExhaustiveSetters(
   const int trials = static_cast<int>(setters.size());
 
   struct Shard {
+    // The shard's zero-fault transport: every RPC succeeds first time,
+    // so each trial stays a pure function of its stream.
+    std::optional<net::SimNetwork> network;
     OnlineStats verif, cw, mw, cl, ml;
   };
   TrialRunner runner(base.threads);
-  PrepareRecorders(observers, trials);
   std::vector<Shard> shards(TrialRunner::ShardCount(trials));
-  std::vector<obs::MetricsRegistry> shard_metrics =
-      MakeShardMetrics(observers, trials);
-  Status status = runner.RunShards(
-      trials, [&](int shard, int begin, int end) {
-        Shard& sh = shards[shard];
-        obs::MetricsRegistry* met =
-            shard_metrics.empty() ? nullptr : &shard_metrics[shard];
-        // The shard's zero-fault transport: every RPC succeeds first
-        // time, so each trial stays a pure function of its stream.
-        net::SimNetwork network(node_count, net::kIdealLink,
-                                net::RetryPolicy{}, /*seed=*/0);
-        network.set_metrics(met);
-        for (int t = begin; t < end; ++t) {
-          util::Rng rng(StreamSeed(trial_seed, static_cast<uint64_t>(t)));
-          // Force the setter point onto this node's exact position.
-          crypto::Hash256 point = crypto::Hash256::FromRingPos(
-              net.directory().pos(setters[t]));
-          core::SelectionOptions options;
-          options.forced_point = &point;
-          network.set_trace(RecorderFor(observers, 0, t));
-          if (met != nullptr) met->Inc(obs::Counter::kTrials);
-          uint32_t trigger = static_cast<uint32_t>(
-              rng.NextUint64(net.directory().size()));
-          Result<core::SelectionProtocol::Outcome> run =
-              protocol.Run(trigger, rng, network, options);
-          if (!run.ok()) {
-            if (run.status().code() == StatusCode::kResourceExhausted) {
-              continue;
-            }
-            return run.status();
-          }
-          sh.verif.Add(2.0 * run->val.k());
-          sh.cw.Add(run->cost.crypto_work);
-          sh.mw.Add(run->cost.msg_work);
-          sh.cl.Add(run->cost.crypto_latency);
-          sh.ml.Add(run->cost.msg_latency);
+  Status status = runner.RunPoint(
+      0, trials, trial_seed, observers, {}, [&](const Trial& trial) {
+        Shard& sh = shards[trial.shard];
+        if (!sh.network) {
+          sh.network.emplace(node_count, net::kIdealLink,
+                             net::RetryPolicy{}, /*seed=*/0);
+          sh.network->set_metrics(trial.met);
         }
+        // Force the setter point onto this node's exact position.
+        crypto::Hash256 point = crypto::Hash256::FromRingPos(
+            net.directory().pos(setters[trial.t]));
+        core::SelectionOptions options;
+        options.forced_point = &point;
+        sh.network->set_trace(trial.rec);
+        uint32_t trigger = static_cast<uint32_t>(
+            trial.rng.NextUint64(net.directory().size()));
+        Result<core::SelectionProtocol::Outcome> run =
+            protocol.Run(trigger, trial.rng, *sh.network, options);
+        if (EndsShard(trial, trials)) sh.network.reset();
+        if (!run.ok()) {
+          if (run.status().code() == StatusCode::kResourceExhausted) {
+            return Status::Ok();
+          }
+          return run.status();
+        }
+        sh.verif.Add(2.0 * run->val.k());
+        sh.cw.Add(run->cost.crypto_work);
+        sh.mw.Add(run->cost.msg_work);
+        sh.cl.Add(run->cost.crypto_latency);
+        sh.ml.Add(run->cost.msg_latency);
         return Status::Ok();
       });
   if (!status.ok()) return status;
-  FoldShardMetrics(observers, shard_metrics);
 
   OnlineStats verif, cw, mw, cl, ml;
   for (const Shard& sh : shards) {
@@ -523,14 +489,13 @@ Result<ExhaustiveStats> RunExhaustiveSetters(
 Result<std::vector<MessageFailurePoint>> RunMessageFailureSweep(
     const Parameters& base,
     const std::vector<MessageFailureSetting>& settings, int trials,
-    int max_attempts, const SweepObservers* observers) {
+    const SweepObservers* observers) {
   Result<std::unique_ptr<Network>> network = Network::Build(base);
   if (!network.ok()) return network.status();
   Network& net = *network.value();
   const uint32_t node_count =
       static_cast<uint32_t>(net.directory().size());
   TrialRunner runner(base.threads);
-  PrepareRecorders(observers, trials);
 
   std::vector<MessageFailurePoint> points;
   for (size_t pi = 0; pi < settings.size(); ++pi) {
@@ -552,70 +517,41 @@ Result<std::vector<MessageFailurePoint>> RunMessageFailureSweep(
       int gave_up = 0;
     };
     std::vector<Shard> shards(TrialRunner::ShardCount(trials));
-    std::vector<obs::MetricsRegistry> shard_metrics =
-        MakeShardMetrics(observers, trials);
-    Status status = runner.RunShards(
-        trials, [&](int shard, int begin, int end) {
-          Shard& sh = shards[shard];
-          obs::MetricsRegistry* met =
-              shard_metrics.empty() ? nullptr : &shard_metrics[shard];
-          for (int t = begin; t < end; ++t) {
-            util::Rng rng(StreamSeed(trial_seed, static_cast<uint64_t>(t)));
-            net::LinkModel link;
-            link.drop_probability = setting.drop_probability;
-            link.jitter_mean_us = setting.jitter_mean_us;
-            net::RetryPolicy retry;  // library defaults
-            // The network — and with it every latency/drop/crash draw —
-            // is trial-private, keeping trials embarrassingly parallel.
-            net::SimNetwork simnet(
-                node_count, link, retry,
-                StreamSeed(net_seed, static_cast<uint64_t>(t)));
-            simnet.set_step_crash_probability(
-                setting.step_crash_probability);
-            // Trial t of the first setting records into its own slot;
-            // observation is passive, so the observed trials' results
-            // are unchanged.
-            obs::TraceRecorder* rec = RecorderFor(observers, pi, t);
-            if (rec != nullptr) simnet.set_trace(rec);
-            if (met != nullptr) {
-              simnet.set_metrics(met);
-              met->Inc(obs::Counter::kTrials);
-            }
-            uint32_t trigger =
-                static_cast<uint32_t>(rng.NextUint64(node_count));
-            int attempt = 1;
-            for (; attempt <= max_attempts; ++attempt) {
-              Result<core::SelectionProtocol::Outcome> run =
-                  protocol.Run(trigger, rng, simnet);
-              if (run.ok()) break;
-              if (run.status().code() != StatusCode::kUnavailable) {
-                return run.status();
-              }
-            }
-            if (rec != nullptr) simnet.FinalizeTrace();
-            if (met != nullptr) {
-              met->Observe(obs::Hist::kTrialLatencyUs, simnet.now_us());
-            }
-            if (attempt > max_attempts) {
-              ++sh.gave_up;
-            } else {
-              if (attempt == 1) ++sh.first_try;
-              if (met != nullptr && attempt > 1) {
-                met->Inc(obs::Counter::kRestarts,
-                         static_cast<uint64_t>(attempt - 1));
-              }
-              sh.restarts.Add(attempt - 1);
-              sh.retries.Add(static_cast<double>(simnet.stats().retries));
-              sh.replacements.Add(
-                  static_cast<double>(simnet.stats().quorum_replacements));
-              sh.latencies_ms.push_back(
-                  static_cast<double>(simnet.now_us()) / 1000.0);
+    Status status = runner.RunPoint(
+        pi, trials, trial_seed, observers, {}, [&](const Trial& trial) {
+          Shard& sh = shards[trial.shard];
+          std::unique_ptr<net::SimNetwork> simnet =
+              FaultyNetwork(node_count, setting, net_seed, trial);
+          uint32_t trigger =
+              static_cast<uint32_t>(trial.rng.NextUint64(node_count));
+          int attempt = 1;
+          for (; attempt <= kMaxSelectionAttempts; ++attempt) {
+            Result<core::SelectionProtocol::Outcome> run =
+                protocol.Run(trigger, trial.rng, *simnet);
+            if (run.ok()) break;
+            if (run.status().code() != StatusCode::kUnavailable) {
+              return run.status();
             }
           }
+          FinishFaultyTrial(*simnet, trial);
+          if (attempt > kMaxSelectionAttempts) {
+            ++sh.gave_up;
+            return Status::Ok();
+          }
+          if (attempt == 1) ++sh.first_try;
+          if (trial.met != nullptr && attempt > 1) {
+            trial.met->Inc(obs::Counter::kRestarts,
+                           static_cast<uint64_t>(attempt - 1));
+          }
+          sh.restarts.Add(attempt - 1);
+          sh.retries.Add(static_cast<double>(simnet->stats().retries));
+          sh.replacements.Add(
+              static_cast<double>(simnet->stats().quorum_replacements));
+          sh.latencies_ms.push_back(
+              static_cast<double>(simnet->now_us()) / 1000.0);
           return Status::Ok();
         });
     if (!status.ok()) return status;
-    FoldShardMetrics(observers, shard_metrics);
 
     OnlineStats retries, replacements, restarts;
     std::vector<double> latencies_ms;
@@ -650,14 +586,13 @@ Result<std::vector<MessageFailurePoint>> RunMessageFailureSweep(
 Result<std::vector<AppFailurePoint>> RunAppFailureSweep(
     const Parameters& base,
     const std::vector<MessageFailureSetting>& settings, int trials,
-    int max_attempts, const SweepObservers* observers) {
+    const SweepObservers* observers) {
   Result<std::unique_ptr<Network>> network = Network::Build(base);
   if (!network.ok()) return network.status();
   Network& net = *network.value();
   const uint32_t node_count =
       static_cast<uint32_t>(net.directory().size());
   TrialRunner runner(base.threads);
-  PrepareRecorders(observers, trials);
   // Deterministic workload shape: a tenth of the network contributes.
   const int sources = std::max(1, static_cast<int>(node_count / 10));
   const int readings_per_source = 3;
@@ -679,79 +614,52 @@ Result<std::vector<AppFailurePoint>> RunAppFailureSweep(
       int gave_up = 0;
     };
     std::vector<Shard> shards(TrialRunner::ShardCount(trials));
-    std::vector<obs::MetricsRegistry> shard_metrics =
-        MakeShardMetrics(observers, trials);
-    Status status = runner.RunShards(
-        trials, [&](int shard, int begin, int end) {
-          Shard& sh = shards[shard];
-          obs::MetricsRegistry* met =
-              shard_metrics.empty() ? nullptr : &shard_metrics[shard];
-          for (int t = begin; t < end; ++t) {
-            util::Rng rng(StreamSeed(trial_seed, static_cast<uint64_t>(t)));
-            net::LinkModel link;
-            link.drop_probability = setting.drop_probability;
-            link.jitter_mean_us = setting.jitter_mean_us;
-            net::RetryPolicy retry;  // library defaults
-            net::SimNetwork simnet(
-                node_count, link, retry,
-                StreamSeed(net_seed, static_cast<uint64_t>(t)));
-            simnet.set_step_crash_probability(
-                setting.step_crash_probability);
-            // Observed trials of the first setting; see the message
-            // sweep.
-            obs::TraceRecorder* rec = RecorderFor(observers, pi, t);
-            if (rec != nullptr) simnet.set_trace(rec);
-            if (met != nullptr) {
-              simnet.set_metrics(met);
-              met->Inc(obs::Counter::kTrials);
-            }
-            node::AppRuntime runtime(&simnet);
+    Status status = runner.RunPoint(
+        pi, trials, trial_seed, observers, {}, [&](const Trial& trial) {
+          Shard& sh = shards[trial.shard];
+          std::unique_ptr<net::SimNetwork> simnet =
+              FaultyNetwork(node_count, setting, net_seed, trial);
+          node::AppRuntime runtime(simnet.get());
 
-            // Trial-private PDMSs: the handlers write into them, so they
-            // cannot be shared across parallel trials.
-            std::vector<node::PdmsNode> pdms;
-            pdms.reserve(node_count);
-            for (uint32_t i = 0; i < node_count; ++i) pdms.emplace_back(i);
+          // Trial-private PDMSs: the handlers write into them, so they
+          // cannot be shared across parallel trials.
+          std::vector<node::PdmsNode> pdms;
+          pdms.reserve(node_count);
+          for (uint32_t i = 0; i < node_count; ++i) pdms.emplace_back(i);
 
-            apps::ParticipatorySensingApp::Config config;
-            config.max_selection_attempts = max_attempts;
-            apps::ParticipatorySensingApp app(&net, &pdms, &runtime,
-                                              config);
-            app.GenerateWorkload(sources, readings_per_source, rng);
-            uint32_t trigger =
-                static_cast<uint32_t>(rng.NextUint64(node_count));
-            Result<apps::ParticipatorySensingApp::RoundResult> round =
-                app.RunRound(trigger, rng);
-            if (rec != nullptr) simnet.FinalizeTrace();
-            if (met != nullptr) {
-              met->Observe(obs::Hist::kTrialLatencyUs, simnet.now_us());
+          apps::ParticipatorySensingApp::Config config;
+          config.max_selection_attempts = kMaxSelectionAttempts;
+          apps::ParticipatorySensingApp app(&net, &pdms, &runtime, config);
+          app.GenerateWorkload(sources, readings_per_source, trial.rng);
+          uint32_t trigger =
+              static_cast<uint32_t>(trial.rng.NextUint64(node_count));
+          Result<apps::ParticipatorySensingApp::RoundResult> round =
+              app.RunRound(trigger, trial.rng);
+          FinishFaultyTrial(*simnet, trial);
+          if (!round.ok()) {
+            if (round.status().code() != StatusCode::kUnavailable) {
+              return round.status();
             }
-            if (!round.ok()) {
-              if (round.status().code() != StatusCode::kUnavailable) {
-                return round.status();
-              }
-              ++sh.gave_up;
-              continue;
-            }
-            const bool clean = round->selection_restarts == 0 &&
-                               round->readings_delivered ==
-                                   round->readings_sent &&
-                               round->published;
-            if (clean) ++sh.first_try;
-            sh.restarts.Add(round->selection_restarts);
-            sh.retries.Add(static_cast<double>(simnet.stats().retries));
-            sh.delivered.Add(
-                round->readings_sent == 0
-                    ? 1.0
-                    : static_cast<double>(round->readings_delivered) /
-                          static_cast<double>(round->readings_sent));
-            sh.latencies_ms.push_back(
-                static_cast<double>(round->round_latency_us) / 1000.0);
+            ++sh.gave_up;
+            return Status::Ok();
           }
+          const bool clean = round->selection_restarts == 0 &&
+                             round->readings_delivered ==
+                                 round->readings_sent &&
+                             round->published;
+          if (clean) ++sh.first_try;
+          sh.restarts.Add(round->selection_restarts);
+          sh.retries.Add(static_cast<double>(simnet->stats().retries));
+          sh.delivered.Add(
+              round->readings_sent == 0
+                  ? 1.0
+                  : static_cast<double>(round->readings_delivered) /
+                        static_cast<double>(round->readings_sent));
+          sh.latencies_ms.push_back(
+              static_cast<double>(round->round_latency_us) / 1000.0);
           return Status::Ok();
         });
     if (!status.ok()) return status;
-    FoldShardMetrics(observers, shard_metrics);
 
     OnlineStats retries, restarts, delivered;
     std::vector<double> latencies_ms;

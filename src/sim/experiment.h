@@ -2,7 +2,8 @@
 //
 // The benchmark binaries under bench/ are thin mains over these
 // functions, and the integration tests run scaled-down versions of the
-// same code paths, so what is printed is what is tested.
+// same code paths, so what is printed is what is tested. Every sweep
+// takes optional sim::SweepObservers (sim/trial_runner.h).
 
 #ifndef SEP2P_SIM_EXPERIMENT_H_
 #define SEP2P_SIM_EXPERIMENT_H_
@@ -10,33 +11,12 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sim/network.h"
 #include "sim/parameters.h"
+#include "sim/trial_runner.h"
 #include "util/status.h"
 
 namespace sep2p::sim {
-
-// ------------------------------------------------------- observability
-// Optional per-sweep observers, threaded through every harness below.
-// Both hooks are strictly passive (obs/trace.h, obs/metrics.h): an
-// observed sweep produces bit-identical tables to an unobserved one,
-// for any Parameters::threads value.
-struct SweepObservers {
-  // Record the first min(trace_trials, trials) trials of the FIRST
-  // sweep point, one recorder per trial: the harness resizes
-  // `recorders` and trial t writes only slot t, so parallel sweeps stay
-  // race-free and the slot order is the trial order. nullptr = off.
-  int trace_trials = 1;
-  std::vector<obs::TraceRecorder>* recorders = nullptr;
-  // Merged metrics snapshot over EVERY trial of EVERY point. Trials
-  // accumulate into shard-local registries which merge in shard order
-  // after each parallel section (MetricsRegistry::Merge is commutative
-  // anyway, with fixed histogram buckets), so the snapshot is
-  // bit-identical for any thread count. nullptr = off.
-  obs::MetricsRegistry* metrics = nullptr;
-};
 
 // ---------------------------------------------------------------- Fig 3-5
 // One point per (strategy, C%): security effectiveness, verification cost
@@ -143,7 +123,8 @@ Result<ExhaustiveStats> RunExhaustiveSetters(
 // failing mid-protocol is restarting with a fresh RND_T): every
 // selection executes over a net::SimNetwork (typed messages, seeded
 // latency, link drops, per-request node crashes) with per-RPC
-// timeout/retry/backoff. Each trial owns its own SimNetwork
+// timeout/retry/backoff, and up to 25 fresh-RND_T attempts per trial.
+// Each trial owns its own SimNetwork
 // seeded from the trial's SplitMix64 stream, so every point is
 // bit-identical for any Parameters::threads value.
 struct MessageFailureSetting {
@@ -173,7 +154,7 @@ struct MessageFailurePoint {
 Result<std::vector<MessageFailurePoint>> RunMessageFailureSweep(
     const Parameters& base,
     const std::vector<MessageFailureSetting>& settings, int trials,
-    int max_attempts = 25, const SweepObservers* observers = nullptr);
+    const SweepObservers* observers = nullptr);
 
 // -------------------------------------------------------- §5 app rounds
 // Application-level robustness: one full participatory-sensing round per
@@ -204,7 +185,7 @@ struct AppFailurePoint {
 Result<std::vector<AppFailurePoint>> RunAppFailureSweep(
     const Parameters& base,
     const std::vector<MessageFailureSetting>& settings, int trials,
-    int max_attempts = 25, const SweepObservers* observers = nullptr);
+    const SweepObservers* observers = nullptr);
 
 // ---------------------------------------------------------- §4.1 ablation
 // Empirical check behind the alpha choice: across `network_count`

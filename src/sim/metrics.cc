@@ -95,11 +95,10 @@ void TablePrinter::Print() const {
 
 std::string TablePrinter::Num(double v, int precision) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*g", precision + 3, v);
-  // %.Ng keeps it compact; fall back to fixed for small magnitudes.
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
   std::string s = buf;
-  // Trim trailing zeros but keep at least one decimal digit removed dot.
+  // Trim trailing zeros after the decimal point, and the point itself
+  // when no digit is left after it.
   while (!s.empty() && s.find('.') != std::string::npos &&
          (s.back() == '0' || s.back() == '.')) {
     bool was_dot = s.back() == '.';

@@ -1,5 +1,6 @@
 #include "sim/trial_runner.h"
 
+#include <algorithm>
 #include <mutex>
 
 namespace sep2p::sim {
@@ -52,24 +53,57 @@ Status TrialRunner::RunShards(
   return error;
 }
 
-Status TrialRunner::RunTrials(
-    int trials, uint64_t seed,
-    const std::function<Status(int, util::Rng&)>& fn) {
-  return RunTrialRange(0, trials, seed, fn);
-}
+Status TrialRunner::RunPoint(
+    size_t point, int trials, uint64_t seed, const SweepObservers* observers,
+    const std::function<void(int)>& on_epoch,
+    const std::function<Status(const Trial&)>& trial_fn) {
+  // Only point 0 records; the resize is the one write that touches more
+  // than one slot, so it happens before any trial runs.
+  std::vector<obs::TraceRecorder>* recorders =
+      observers != nullptr && point == 0 ? observers->recorders : nullptr;
+  if (recorders != nullptr) {
+    recorders->clear();
+    recorders->resize(
+        static_cast<size_t>(std::clamp(observers->trace_trials, 0, trials)));
+  }
+  std::vector<obs::MetricsRegistry> shard_metrics(
+      observers != nullptr && observers->metrics != nullptr
+          ? static_cast<size_t>(ShardCount(trials))
+          : 0);
 
-Status TrialRunner::RunTrialRange(
-    int begin, int end, uint64_t seed,
-    const std::function<Status(int, util::Rng&)>& fn) {
-  return RunShards(end - begin, [&](int /*shard*/, int lo, int hi) {
-    for (int local = lo; local < hi; ++local) {
-      const int t = begin + local;
+  auto run_shard = [&](int shard, int begin, int end) {
+    obs::MetricsRegistry* met =
+        shard_metrics.empty() ? nullptr
+                              : &shard_metrics[static_cast<size_t>(shard)];
+    for (int t = begin; t < end; ++t) {
       util::Rng rng(StreamSeed(seed, static_cast<uint64_t>(t)));
-      Status status = fn(t, rng);
+      obs::TraceRecorder* rec =
+          recorders != nullptr && static_cast<size_t>(t) < recorders->size()
+              ? &(*recorders)[static_cast<size_t>(t)]
+              : nullptr;
+      if (met != nullptr) met->Inc(obs::Counter::kTrials);
+      Status status = trial_fn(Trial{t, shard, rng, rec, met});
       if (!status.ok()) return status;
     }
     return Status::Ok();
-  });
+  };
+
+  Status status = Status::Ok();
+  if (on_epoch) {
+    for (int shard = 0; shard < ShardCount(trials) && status.ok(); ++shard) {
+      on_epoch(shard);
+      const int begin = shard * kShardSize;
+      status = run_shard(shard, begin, std::min(begin + kShardSize, trials));
+    }
+  } else {
+    status = RunShards(trials, run_shard);
+  }
+  if (!status.ok()) return status;
+
+  for (const obs::MetricsRegistry& shard : shard_metrics) {
+    observers->metrics->Merge(shard);
+  }
+  return Status::Ok();
 }
 
 }  // namespace sep2p::sim

@@ -1,9 +1,6 @@
 // TrialRunner: deterministic parallel execution of Monte-Carlo trials.
 //
-// Every experiment harness in sim/experiment.cc used to advance one
-// shared Rng through its trial loop, which welds the results to the
-// execution order. The TrialRunner breaks that weld with *per-trial RNG
-// streams*: trial t draws from an independent Rng seeded as
+// Trial t draws from an independent Rng seeded as
 // SplitMix64(seed, t) (see StreamSeed below), so any trial can run on
 // any worker at any time and still produce exactly the bytes it would
 // have produced alone.
@@ -22,13 +19,20 @@
 //     points between sections;
 //   * errors: the failing trial with the lowest index wins, matching
 //     what a serial loop would have reported first.
+//
+// RunPoint applies every rule above to one sweep point, so the
+// experiment harnesses (sim/experiment.h, attack/sweep.h) only say what
+// a trial does and how its results fold.
 
 #ifndef SEP2P_SIM_TRIAL_RUNNER_H_
 #define SEP2P_SIM_TRIAL_RUNNER_H_
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -47,11 +51,38 @@ uint64_t StreamSeed(uint64_t seed, uint64_t index);
 uint64_t MixSeed(uint64_t seed, uint64_t salt, uint64_t a = 0,
                  uint64_t b = 0);
 
+// Optional per-sweep observers, threaded through every harness. Both
+// hooks are strictly passive (obs/trace.h, obs/metrics.h): an observed
+// sweep produces bit-identical tables to an unobserved one, for any
+// Parameters::threads value.
+struct SweepObservers {
+  // Record the first min(trace_trials, trials) trials of the FIRST
+  // sweep point, one recorder per trial: RunPoint resizes `recorders`
+  // and trial t writes only slot t, so parallel sweeps stay race-free
+  // and the slot order is the trial order. nullptr = off.
+  int trace_trials = 1;
+  std::vector<obs::TraceRecorder>* recorders = nullptr;
+  // Merged metrics snapshot over EVERY trial of EVERY point. Trials
+  // accumulate into shard-local registries which merge in shard order
+  // after each point (MetricsRegistry::Merge is commutative anyway,
+  // with fixed histogram buckets), so the snapshot is bit-identical for
+  // any thread count. nullptr = off.
+  obs::MetricsRegistry* metrics = nullptr;
+};
+
+// One trial of a sweep point, as RunPoint hands it to the harness.
+struct Trial {
+  int t;        // trial index within the point
+  int shard;    // t / TrialRunner::kShardSize; indexes per-shard state
+  util::Rng& rng;  // the trial's own stream, Rng(StreamSeed(seed, t))
+  obs::TraceRecorder* rec;    // the trial's recorder slot, or nullptr
+  obs::MetricsRegistry* met;  // the shard's registry, or nullptr
+};
+
 class TrialRunner {
  public:
-  // Fixed shard width for per-shard accumulation. 16 matches the
-  // colluder-reassignment epoch historically used by the strategy
-  // comparison, so an epoch is a whole number of shards.
+  // Fixed shard width for per-shard accumulation, and the length of a
+  // colluder-reassignment epoch, so an epoch is exactly one shard.
   static constexpr int kShardSize = 16;
 
   // `threads` as in Parameters::threads: >= 1 literal, else one per
@@ -66,26 +97,35 @@ class TrialRunner {
     return (trials + kShardSize - 1) / kShardSize;
   }
 
-  // Runs fn(t, rng) for every t in [0, trials), where rng is a fresh
-  // Rng(StreamSeed(seed, t)). Shards of kShardSize trials are the unit
-  // of scheduling. Returns the error of the lowest-indexed failing
-  // trial, or OK. `fn` must confine writes to per-trial or per-shard
+  // Runs trials [0, trials) of sweep point `point`: trial_fn once per
+  // trial with rng = Rng(StreamSeed(seed, t)). The shards of kShardSize
+  // trials are the unit of scheduling; one worker runs a shard's trials
+  // in trial order, so per-shard state indexed by Trial::shard needs no
+  // lock. `trial_fn` must confine its writes to per-trial or per-shard
   // state it owns.
-  Status RunTrials(int trials, uint64_t seed,
-                   const std::function<Status(int, util::Rng&)>& fn);
+  //
+  // `observers` (may be nullptr): point 0 sizes the recorder slots, and
+  // its first trace_trials trials get one each; every trial gets its
+  // shard's registry, counts into Counter::kTrials, and the registries
+  // merge into observers->metrics in shard order once every trial has
+  // succeeded.
+  //
+  // `on_epoch` (may be empty) is the barrier for mutating shared state:
+  // on_epoch(e) runs on the calling thread before the trials of shard
+  // e, and the shards then run one after another, with no trial in
+  // flight during a barrier.
+  //
+  // Returns the error of the lowest-indexed failing trial, or OK. With
+  // `on_epoch` set, no shard after the failing one runs.
+  Status RunPoint(size_t point, int trials, uint64_t seed,
+                  const SweepObservers* observers,
+                  const std::function<void(int)>& on_epoch,
+                  const std::function<Status(const Trial&)>& trial_fn);
 
-  // As RunTrials, but over the trial range [begin, end). Stream seeds use
-  // the *global* trial index, so running [0, 16) and [16, 32) as two
-  // calls (e.g. with a barrier between epochs) produces exactly the
-  // trials a single [0, 32) run would.
-  Status RunTrialRange(int begin, int end, uint64_t seed,
-                       const std::function<Status(int, util::Rng&)>& fn);
-
-  // Shard-level variant for callers that accumulate into per-shard
-  // state: fn(shard, begin, end) with [begin, end) the trial range of
-  // `shard`. Per-trial seeding stays the caller's job (use
-  // StreamSeed(seed, t) per trial so shard width never leaks into the
-  // random stream).
+  // Shard-level variant for loops that are not protocol trials:
+  // fn(shard, begin, end) with [begin, end) the trial range of `shard`.
+  // Per-trial seeding stays the caller's job (use StreamSeed(seed, t)
+  // per trial so shard width never leaks into the random stream).
   Status RunShards(int trials,
                    const std::function<Status(int, int, int)>& fn);
 

@@ -291,9 +291,8 @@ class TracedSweepTest : public ::testing::Test {
     observers.trace_trials = kTrials;  // trace EVERY metered trial
     observers.recorders = recorders;
     observers.metrics = metrics;
-    auto points = sim::RunMessageFailureSweep(params, settings, kTrials,
-                                              /*max_attempts=*/25,
-                                              &observers);
+    auto points =
+        sim::RunMessageFailureSweep(params, settings, kTrials, &observers);
     ASSERT_TRUE(points.ok()) << points.status().ToString();
     ASSERT_EQ(recorders->size(), static_cast<size_t>(kTrials));
   }
@@ -412,8 +411,7 @@ TEST_F(TracedSweepTest, MeteredSweepIsBitIdenticalToPlainForAnyThreads) {
     observers.recorders = &recorders;
     observers.metrics = &metrics;
     auto points = sim::RunMessageFailureSweep(
-        p, settings, /*trials=*/4, /*max_attempts=*/25,
-        observed ? &observers : nullptr);
+        p, settings, /*trials=*/4, observed ? &observers : nullptr);
     EXPECT_TRUE(points.ok());
     std::string table;
     for (const sim::MessageFailurePoint& pt : *points) {

@@ -124,8 +124,8 @@ TEST_F(TracedSelectionTest, TraceIsIdenticalForAnyThreadCount) {
     std::vector<obs::TraceRecorder> recorders;
     sim::SweepObservers observers;
     observers.recorders = &recorders;
-    auto points = sim::RunMessageFailureSweep(p, settings, /*trials=*/3,
-                                              /*max_attempts=*/25, &observers);
+    auto points =
+        sim::RunMessageFailureSweep(p, settings, /*trials=*/3, &observers);
     EXPECT_TRUE(points.ok());
     EXPECT_EQ(recorders.size(), 1u);
     return recorders.empty() ? std::string()

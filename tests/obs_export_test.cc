@@ -258,7 +258,7 @@ TEST(JsonlTest, LiveSweepTraceRoundTripsByteIdentical) {
   sim::SweepObservers observers;
   observers.recorders = &recorders;
   auto points = sim::RunMessageFailureSweep(params, settings, /*trials=*/2,
-                                            /*max_attempts=*/25, &observers);
+                                            &observers);
   ASSERT_TRUE(points.ok()) << points.status().ToString();
   ASSERT_EQ(recorders.size(), 1u);
   ASSERT_GT(recorders[0].size(), 0u);
@@ -343,7 +343,7 @@ TEST(ChromeTraceTest, LiveTraceExportIsValidJson) {
   sim::SweepObservers observers;
   observers.recorders = &recorders;
   auto points = sim::RunMessageFailureSweep(params, settings, /*trials=*/1,
-                                            /*max_attempts=*/25, &observers);
+                                            &observers);
   ASSERT_TRUE(points.ok());
   ASSERT_EQ(recorders.size(), 1u);
 

@@ -1,17 +1,22 @@
 // The determinism contract of the parallel trial engine: thread count
-// and scheduling must never leak into results. These tests run the same
-// experiments serially and heavily threaded and require bit-identical
-// output (EXPECT_EQ on doubles, not EXPECT_NEAR).
+// and scheduling must never leak into results. These tests pin the
+// rules of TrialRunner::RunPoint, then run the same experiments
+// serially and heavily threaded and require bit-identical output
+// (EXPECT_EQ on doubles, not EXPECT_NEAR).
 
 #include "sim/trial_runner.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
+#include <functional>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "attack/sweep.h"
+#include "obs/export.h"
 #include "sim/experiment.h"
 #include "sim/metrics.h"
 #include "sim/network.h"
@@ -87,80 +92,154 @@ TEST(OnlineStatsMergeTest, MergeIntoEmptyCopies) {
   EXPECT_EQ(a.count(), 2u);
 }
 
-TEST(TrialRunnerTest, RunTrialsCoversEveryTrialExactlyOnce) {
+TEST(TrialRunnerTest, RunPointCoversEveryTrialExactlyOnce) {
   TrialRunner runner(/*threads=*/4);
   constexpr int kTrials = 1003;  // not a multiple of kShardSize
   std::vector<std::atomic<int>> hits(kTrials);
-  Status status =
-      runner.RunTrials(kTrials, /*seed=*/7, [&](int t, util::Rng&) {
-        hits[t].fetch_add(1, std::memory_order_relaxed);
+  std::atomic<int> misplaced{0};
+  Status status = runner.RunPoint(
+      /*point=*/0, kTrials, /*seed=*/7, /*observers=*/nullptr, {},
+      [&](const Trial& trial) {
+        hits[trial.t].fetch_add(1, std::memory_order_relaxed);
+        if (trial.shard != trial.t / TrialRunner::kShardSize ||
+            trial.rec != nullptr || trial.met != nullptr) {
+          misplaced.fetch_add(1, std::memory_order_relaxed);
+        }
         return Status::Ok();
       });
   ASSERT_TRUE(status.ok());
   for (int t = 0; t < kTrials; ++t) EXPECT_EQ(hits[t].load(), 1);
+  EXPECT_EQ(misplaced.load(), 0);
+}
+
+// First draw of every trial's stream, run with the given thread count
+// and with or without an epoch barrier.
+std::vector<uint64_t> FirstDraws(int threads, int trials, bool epochs) {
+  std::vector<uint64_t> draws(trials);
+  TrialRunner runner(threads);
+  std::function<void(int)> on_epoch;
+  if (epochs) on_epoch = [](int) {};
+  Status status = runner.RunPoint(0, trials, /*seed=*/42, nullptr, on_epoch,
+                                  [&](const Trial& trial) {
+                                    draws[trial.t] = trial.rng.NextUint64();
+                                    return Status::Ok();
+                                  });
+  EXPECT_TRUE(status.ok());
+  return draws;
 }
 
 TEST(TrialRunnerTest, PerTrialRngIndependentOfExecutionOrder) {
-  // Record each trial's first draw under heavy threading, then compare
-  // with a serial run: the streams must match exactly.
+  // Each trial's stream is Rng(StreamSeed(seed, t)) whatever the thread
+  // count.
   constexpr int kTrials = 256;
-  std::vector<uint64_t> parallel_draws(kTrials);
-  TrialRunner parallel(8);
-  ASSERT_TRUE(parallel
-                  .RunTrials(kTrials, 42,
-                             [&](int t, util::Rng& rng) {
-                               parallel_draws[t] = rng.NextUint64();
-                               return Status::Ok();
-                             })
-                  .ok());
+  std::vector<uint64_t> expected(kTrials);
+  for (int t = 0; t < kTrials; ++t) {
+    expected[t] = util::Rng(StreamSeed(42, static_cast<uint64_t>(t)))
+                      .NextUint64();
+  }
+  EXPECT_EQ(TrialRunner(1).pool().workers(), 0);
+  EXPECT_EQ(FirstDraws(1, kTrials, /*epochs=*/false), expected);
+  EXPECT_EQ(FirstDraws(8, kTrials, /*epochs=*/false), expected);
+}
 
-  std::vector<uint64_t> serial_draws(kTrials);
-  TrialRunner serial(1);
-  EXPECT_EQ(serial.pool().workers(), 0);
-  ASSERT_TRUE(serial
-                  .RunTrials(kTrials, 42,
-                             [&](int t, util::Rng& rng) {
-                               serial_draws[t] = rng.NextUint64();
-                               return Status::Ok();
-                             })
+TEST(TrialRunnerTest, RunPointUsesGlobalTrialIndicesAcrossEpochs) {
+  // Splitting a point into epochs must produce exactly the trials of
+  // one unbroken run: stream seeds key off the global index.
+  EXPECT_EQ(FirstDraws(4, 64, /*epochs=*/true),
+            FirstDraws(4, 64, /*epochs=*/false));
+  EXPECT_EQ(FirstDraws(1, 40, /*epochs=*/true),
+            FirstDraws(8, 40, /*epochs=*/false));
+}
+
+TEST(TrialRunnerTest, RunPointEpochRunsOnceBeforeItsShard) {
+  // 40 trials = epochs of 16, 16 and 8. The barrier and the trials all
+  // run on the calling thread, so the log is the execution order.
+  TrialRunner runner(4);
+  std::vector<std::string> log;
+  ASSERT_TRUE(runner
+                  .RunPoint(
+                      0, 40, 5, nullptr,
+                      [&](int epoch) {
+                        log.push_back("epoch " + std::to_string(epoch));
+                      },
+                      [&](const Trial& trial) {
+                        log.push_back("trial " + std::to_string(trial.t));
+                        return Status::Ok();
+                      })
                   .ok());
-  EXPECT_EQ(parallel_draws, serial_draws);
+  std::vector<std::string> expected;
+  for (int t = 0; t < 40; ++t) {
+    if (t % TrialRunner::kShardSize == 0) {
+      expected.push_back("epoch " +
+                         std::to_string(t / TrialRunner::kShardSize));
+    }
+    expected.push_back("trial " + std::to_string(t));
+  }
+  EXPECT_EQ(log, expected);
 }
 
 TEST(TrialRunnerTest, LowestIndexedFailingTrialWins) {
-  TrialRunner runner(4);
-  Status status = runner.RunTrials(500, 1, [&](int t, util::Rng&) {
-    if (t == 77 || t == 402) {
-      return Status::Internal("trial " + std::to_string(t));
+  auto fail_at = [](const Trial& trial) {
+    if (trial.t == 77 || trial.t == 402) {
+      return Status::Internal("trial " + std::to_string(trial.t));
     }
     return Status::Ok();
-  });
+  };
+  TrialRunner runner(4);
+  Status status = runner.RunPoint(0, 500, 1, nullptr, {}, fail_at);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.message(), "trial 77");
+
+  // With barriers, no epoch after the failing one runs.
+  int last_epoch = -1;
+  status = runner.RunPoint(
+      0, 500, 1, nullptr, [&](int epoch) { last_epoch = epoch; }, fail_at);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.message(), "trial 77");
+  EXPECT_EQ(last_epoch, 77 / TrialRunner::kShardSize);
 }
 
-TEST(TrialRunnerTest, RunTrialRangeUsesGlobalTrialIndices) {
-  // Two epoch-style calls must produce exactly the trials of one big
-  // call: stream seeds key off the global index.
-  std::vector<uint64_t> split(64), whole(64);
+TEST(TrialRunnerTest, RunPointObserverSlotsAndShardMetrics) {
+  std::vector<obs::TraceRecorder> recorders(9);  // stale slots
+  obs::MetricsRegistry metrics;
+  SweepObservers observers;
+  observers.trace_trials = 3;
+  observers.recorders = &recorders;
+  observers.metrics = &metrics;
   TrialRunner runner(4);
-  for (int begin : {0, 32}) {
-    ASSERT_TRUE(runner
-                    .RunTrialRange(begin, begin + 32, 5,
-                                   [&](int t, util::Rng& rng) {
-                                     split[t] = rng.NextUint64();
-                                     return Status::Ok();
-                                   })
-                    .ok());
+
+  // Point 0: trials 0..2 own slots 0..2; every trial of a shard shares
+  // that shard's registry.
+  std::vector<obs::TraceRecorder*> recs(40);
+  std::vector<obs::MetricsRegistry*> mets(40);
+  auto record = [&](const Trial& trial) {
+    recs[trial.t] = trial.rec;
+    mets[trial.t] = trial.met;
+    return Status::Ok();
+  };
+  ASSERT_TRUE(runner.RunPoint(0, 40, 1, &observers, {}, record).ok());
+  ASSERT_EQ(recorders.size(), 3u);
+  for (int t = 0; t < 40; ++t) {
+    EXPECT_EQ(recs[t], t < 3 ? &recorders[t] : nullptr) << t;
+    ASSERT_NE(mets[t], nullptr);
+    EXPECT_EQ(mets[t] == mets[0], t < TrialRunner::kShardSize) << t;
   }
-  ASSERT_TRUE(runner
-                  .RunTrials(64, 5,
-                             [&](int t, util::Rng& rng) {
-                               whole[t] = rng.NextUint64();
-                               return Status::Ok();
-                             })
-                  .ok());
-  EXPECT_EQ(split, whole);
+  EXPECT_EQ(metrics.counter(obs::Counter::kTrials), 40u);
+
+  // Later points record nothing and leave the slots alone, but are
+  // metered too.
+  ASSERT_TRUE(runner.RunPoint(1, 40, 2, &observers, {}, record).ok());
+  EXPECT_EQ(recorders.size(), 3u);
+  for (int t = 0; t < 40; ++t) EXPECT_EQ(recs[t], nullptr) << t;
+  EXPECT_EQ(metrics.counter(obs::Counter::kTrials), 80u);
+
+  // A failed point folds none of its metrics.
+  Status status = runner.RunPoint(1, 40, 3, &observers, {},
+                                  [](const Trial&) {
+                                    return Status::Internal("fail");
+                                  });
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(metrics.counter(obs::Counter::kTrials), 80u);
 }
 
 TEST(TrialRunnerTest, NetworkBuildIsIdenticalForAnyThreadCount) {
@@ -305,6 +384,183 @@ TEST(TrialRunnerTest, ComputeAverageKBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.avg_k, parallel.avg_k);
   EXPECT_EQ(serial.max_k_seen, parallel.max_k_seen);
 }
+
+
+// Exact text of a point's fields: hexfloat keeps every bit of a double.
+template <typename... Fields>
+std::string Exact(const Fields&... fields) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  ((out << fields << ' '), ...);
+  out << '\n';
+  return out.str();
+}
+
+// One experiment harness on SmallNet(threads), its points rendered with
+// Exact. Every harness gets more than one shard of trials.
+struct ObservedHarness {
+  const char* name;
+  std::function<std::string(int, const SweepObservers*)> run;
+};
+
+// Names the test instance (gtest would otherwise print the raw bytes).
+void PrintTo(const ObservedHarness& harness, std::ostream* out) {
+  *out << harness.name;
+}
+
+template <typename Points, typename Render>
+std::string RenderPoints(const Result<Points>& points, Render render) {
+  EXPECT_TRUE(points.ok()) << points.status().ToString();
+  std::string out;
+  if (points.ok()) {
+    for (const auto& p : *points) out += render(p);
+  }
+  return out;
+}
+
+std::vector<MessageFailureSetting> FaultySettings() {
+  std::vector<MessageFailureSetting> settings(2);
+  settings[0].drop_probability = 0.05;
+  settings[0].step_crash_probability = 0.002;
+  return settings;
+}
+
+const ObservedHarness kObservedHarnesses[] = {
+    {"StrategyComparison",
+     [](int threads, const SweepObservers* observers) {
+       return RenderPoints(
+           RunStrategyComparison(SmallNet(threads), {0.02}, {"SEP2P", "ES.AV"},
+                                 /*trials=*/20, observers),
+           [](const StrategyPoint& p) {
+             return Exact(p.strategy, p.c_fraction, p.trials,
+                          p.verification_cost, p.ideal_corrupted,
+                          p.avg_corrupted, p.effectiveness,
+                          p.setup_crypto_latency, p.setup_crypto_work,
+                          p.setup_msg_latency, p.setup_msg_work,
+                          p.relocation_rate);
+           });
+     }},
+    {"CacheSweep",
+     [](int threads, const SweepObservers* observers) {
+       return RenderPoints(
+           RunCacheSweep(SmallNet(threads), {32, 128}, /*trials=*/20,
+                         observers),
+           [](const CachePoint& p) {
+             return Exact(p.cache_size, p.trials, p.relocation_rate,
+                          p.relocated_fraction, p.failed_fraction,
+                          p.setup_crypto_latency, p.setup_crypto_work,
+                          p.setup_msg_latency, p.setup_msg_work);
+           });
+     }},
+    {"ActorSweep",
+     [](int threads, const SweepObservers* observers) {
+       return RenderPoints(
+           RunActorSweep(SmallNet(threads), {8, 16}, /*trials=*/20,
+                         observers),
+           [](const ActorsPoint& p) {
+             return Exact(p.actor_count, p.setup_crypto_work,
+                          p.setup_msg_work, p.verification_cost);
+           });
+     }},
+    {"ExhaustiveSetters",
+     [](int threads, const SweepObservers* observers) {
+       Result<ExhaustiveStats> stats =
+           RunExhaustiveSetters(SmallNet(threads), /*sample=*/40, observers);
+       EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+       if (!stats.ok()) return std::string();
+       const ExhaustiveStats& s = *stats;
+       return Exact(s.setters, s.verif_avg, s.verif_max, s.verif_stddev,
+                    s.crypto_work_avg, s.crypto_work_max,
+                    s.crypto_work_stddev, s.msg_work_avg, s.msg_work_max,
+                    s.msg_work_stddev, s.crypto_lat_avg, s.crypto_lat_max,
+                    s.crypto_lat_stddev, s.msg_lat_avg, s.msg_lat_max,
+                    s.msg_lat_stddev);
+     }},
+    {"MessageFailureSweep",
+     [](int threads, const SweepObservers* observers) {
+       return RenderPoints(
+           RunMessageFailureSweep(SmallNet(threads), FaultySettings(),
+                                  /*trials=*/20, observers),
+           [](const MessageFailurePoint& p) {
+             return Exact(p.trials, p.first_try_success_rate, p.avg_retries,
+                          p.avg_replacements, p.restart_rate, p.give_up_rate,
+                          p.p50_latency_ms, p.p99_latency_ms);
+           });
+     }},
+    {"AppFailureSweep",
+     [](int threads, const SweepObservers* observers) {
+       return RenderPoints(
+           RunAppFailureSweep(SmallNet(threads), FaultySettings(),
+                              /*trials=*/18, observers),
+           [](const AppFailurePoint& p) {
+             return Exact(p.trials, p.first_try_success_rate, p.avg_retries,
+                          p.avg_restarts, p.avg_delivered_fraction,
+                          p.give_up_rate, p.p50_latency_ms,
+                          p.p99_latency_ms);
+           });
+     }},
+    {"AdversarySweep",
+     [](int threads, const SweepObservers* observers) {
+       return RenderPoints(
+           attack::RunAdversarySweep(SmallNet(threads),
+                                     {"csar-grind", "none"},
+                                     /*trials=*/20, observers),
+           [](const attack::AdversaryPoint& p) {
+             return Exact(p.scenario, p.c_fraction, p.trials, p.attempted,
+                          p.detected, p.accepted, p.succeeded,
+                          p.detection_rate, p.avg_corrupted,
+                          p.ideal_corrupted, p.effectiveness, p.avg_strikes,
+                          p.avg_attempts, p.avg_restarts, p.avg_relocations,
+                          p.verification_cost, p.setup_crypto_work,
+                          p.setup_msg_work, p.cost_overhead,
+                          p.checker_violations, p.digest);
+           });
+     }},
+};
+
+class TrialRunnerObservedHarnessTest
+    : public testing::TestWithParam<ObservedHarness> {};
+
+// SweepObservers' contract: with both observers on, the points, the
+// merged metrics and every recorded trace are bit-identical serially
+// and with 8 threads.
+TEST_P(TrialRunnerObservedHarnessTest, BitIdenticalAcrossThreadCounts) {
+  struct Observed {
+    std::string points;
+    std::vector<obs::TraceRecorder> recorders;
+    obs::MetricsRegistry metrics;
+  };
+  auto run = [&](int threads, Observed* out) {
+    SweepObservers observers;
+    observers.trace_trials = 3;
+    observers.recorders = &out->recorders;
+    observers.metrics = &out->metrics;
+    out->points = GetParam().run(threads, &observers);
+  };
+  Observed serial, parallel;
+  run(1, &serial);
+  run(8, &parallel);
+
+  EXPECT_FALSE(serial.points.empty());
+  EXPECT_EQ(serial.points, parallel.points);
+  EXPECT_GT(serial.metrics.counter(obs::Counter::kTrials), 0u);
+  EXPECT_EQ(serial.metrics.ToJson(), parallel.metrics.ToJson());
+  ASSERT_EQ(serial.recorders.size(), 3u);
+  ASSERT_EQ(parallel.recorders.size(), 3u);
+  for (size_t i = 0; i < serial.recorders.size(); ++i) {
+    EXPECT_GT(serial.recorders[i].size(), 0u) << "slot " << i;
+    EXPECT_EQ(obs::ToJsonl(serial.recorders[i].trace()),
+              obs::ToJsonl(parallel.recorders[i].trace()))
+        << "slot " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Harnesses, TrialRunnerObservedHarnessTest,
+    testing::ValuesIn(kObservedHarnesses),
+    [](const testing::TestParamInfo<ObservedHarness>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace sep2p::sim

@@ -116,7 +116,6 @@ Row RunOnce(uint64_t n, int threads, uint64_t events) {
   churn_options.join_rate_per_s = 2.0;
   churn_options.leave_rate_per_s = 1.0;
   churn_options.crash_rate_per_s = 1.0;
-  churn_options.attested_joins = true;
   sim::ChurnDriver driver(network.value().get(), &simnet, churn_options);
 
   auto t2 = std::chrono::steady_clock::now();

@@ -7,9 +7,7 @@ namespace sep2p::net {
 
 SimNetwork::SimNetwork(uint32_t node_count, const LinkModel& link,
                        const RetryPolicy& retry, uint64_t seed)
-    : link_(link), rng_(seed), endpoints_(node_count) {
-  retry_ = retry;
-}
+    : Transport(retry, seed), link_(link), endpoints_(node_count) {}
 
 void SimNetwork::CrashAt(uint32_t node, uint64_t at_us) {
   endpoints_[node].crash_at_us =
@@ -194,162 +192,61 @@ void SimNetwork::AdvanceTo(uint64_t at_us) {
   }
 }
 
-SimNetwork::RpcResult SimNetwork::Call(uint32_t client, uint32_t server,
-                                       const std::vector<uint8_t>& request,
-                                       const Handler& handler) {
-  RpcResult result;
-  // The id advances whether or not tracing is on (bit-identical runs);
+bool SimNetwork::AttemptRpc(const RpcCall& call,
+                            std::vector<uint8_t>* reply) {
+  const uint64_t depart = now_us_;
+  const uint64_t deadline = depart + retry_.timeout_us;
   // cur_rpc_ lets Transmit attribute its events to this RPC. Handlers
   // never re-enter the network, but save/restore keeps it safe anyway.
-  const uint64_t rpc = ++next_rpc_id_;
   const uint64_t prev_rpc = cur_rpc_;
-  const uint64_t rpc_start = now_us_;
-  cur_rpc_ = rpc;
-  if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kRpcsBegun);
-  if (trace_ != nullptr) {
-    obs::Event e;
-    e.t_us = now_us_;
-    e.kind = obs::EventKind::kRpcBegin;
-    e.node = client;
-    e.peer = server;
-    e.rpc = rpc;
-    trace_->Record(std::move(e));
-  }
-  auto rpc_event = [&](obs::EventKind kind, uint64_t t_us, uint64_t value) {
-    if (trace_ == nullptr) return;
-    obs::Event e;
-    e.t_us = t_us;
-    e.kind = kind;
-    e.node = client;
-    e.peer = server;
-    e.rpc = rpc;
-    e.value = value;
-    trace_->Record(std::move(e));
-  };
-  uint64_t backoff = retry_.backoff_base_us;
-  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-    result.attempts = attempt;
-    const uint64_t depart = now_us_;
-    const uint64_t deadline = depart + retry_.timeout_us;
-    if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kRpcAttempts);
-    rpc_event(obs::EventKind::kAttempt, depart,
-              static_cast<uint64_t>(attempt));
-
-    std::optional<uint64_t> reply_at;
-    uint64_t reply_seq = 0;
-    std::optional<uint64_t> req_at =
-        Transmit(client, server, request, depart, nullptr);
-    if (req_at.has_value() && !StepCrash(server, *req_at)) {
-      // The server consumes the request from its inbox at arrival...
-      AdvanceTo(*req_at);
-      endpoints_[server].inbox.clear();
-      // ...handles it (idempotent; retransmissions re-invoke it), and
-      // replies after its processing delay. The clock tracks the
-      // handling instant so dispatch hooks see the arrival time; both
-      // exits below overwrite it, and nothing the handler may do reads
-      // it, so this is invisible outside tracing.
-      now_us_ = *req_at;
-      std::optional<std::vector<uint8_t>> reply =
-          handler ? handler(server, request) : Dispatch(server, request);
-      if (reply.has_value()) {
-        // The reply buffer is dead after this point: move it into the
-        // event queue instead of copying.
-        reply_at = Transmit(server, client, std::move(*reply),
-                            *req_at + link_.process_us, &reply_seq);
-      }
-    }
-
-    if (reply_at.has_value() && *reply_at <= deadline) {
-      now_us_ = *reply_at;
-      AdvanceTo(now_us_);
-      // Consume the matching reply; anything else sitting in the inbox
-      // is a stale reply from an abandoned attempt or parallel branch.
-      std::vector<Delivery>& inbox = endpoints_[client].inbox;
-      for (Delivery& d : inbox) {
-        if (d.seq == reply_seq) {
-          result.ok = true;
-          result.reply = std::move(d.payload);
-          break;
-        }
-      }
-      stats_.late_replies += inbox.size() - 1;
-      if (metrics_ != nullptr) {
-        metrics_->Inc(obs::Counter::kLateReplies, inbox.size() - 1);
-        metrics_->Observe(obs::Hist::kRpcLatencyUs, now_us_ - rpc_start);
-        metrics_->Observe(obs::Hist::kRpcAttempts,
-                          static_cast<uint64_t>(attempt));
-      }
-      inbox.clear();
-      rpc_event(obs::EventKind::kRpcEnd, now_us_,
-                static_cast<uint64_t>(attempt));
-      cur_rpc_ = prev_rpc;
-      return result;
-    }
-
-    ++stats_.timeouts;
-    if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kTimeouts);
-    now_us_ = deadline;
-    rpc_event(obs::EventKind::kTimeout, deadline,
-              static_cast<uint64_t>(attempt));
-    if (attempt < retry_.max_attempts) {
-      ++stats_.retries;
-      if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kRetries);
-      uint64_t wait = backoff;
-      if (retry_.jitter_fraction > 0) {
-        wait += static_cast<uint64_t>(static_cast<double>(backoff) *
-                                      retry_.jitter_fraction *
-                                      rng_.NextDouble());
-      }
-      now_us_ += wait;
-      backoff = static_cast<uint64_t>(static_cast<double>(backoff) *
-                                      retry_.backoff_factor);
-      rpc_event(obs::EventKind::kRetry, now_us_,
-                static_cast<uint64_t>(attempt + 1));
+  cur_rpc_ = call.rpc;
+  std::optional<uint64_t> reply_at;
+  uint64_t reply_seq = 0;
+  std::optional<uint64_t> req_at =
+      Transmit(call.client, call.server, call.request, depart, nullptr);
+  if (req_at.has_value() && !StepCrash(call.server, *req_at)) {
+    // The server consumes the request from its inbox at arrival...
+    AdvanceTo(*req_at);
+    endpoints_[call.server].inbox.clear();
+    // ...handles it (idempotent; retransmissions re-invoke it), and
+    // replies after its processing delay. The clock tracks the
+    // handling instant so dispatch hooks see the arrival time; both
+    // exits below overwrite it, and nothing the handler may do reads
+    // it, so this is invisible outside tracing.
+    now_us_ = *req_at;
+    std::optional<std::vector<uint8_t>> answer =
+        call.handler ? call.handler(call.server, call.request)
+                     : Dispatch(call.server, call.request);
+    if (answer.has_value()) {
+      // The reply buffer is dead after this point: move it into the
+      // event queue instead of copying.
+      reply_at = Transmit(call.server, call.client, std::move(*answer),
+                          *req_at + link_.process_us, &reply_seq);
     }
   }
-  ++stats_.rpc_failures;
-  if (metrics_ != nullptr) {
-    metrics_->Inc(obs::Counter::kRpcsFailed);
-    metrics_->Observe(obs::Hist::kRpcAttempts,
-                      static_cast<uint64_t>(retry_.max_attempts));
-  }
-  rpc_event(obs::EventKind::kRpcFail, now_us_,
-            static_cast<uint64_t>(retry_.max_attempts));
   cur_rpc_ = prev_rpc;
-  return result;
-}
 
-std::vector<SimNetwork::RpcResult> SimNetwork::CallMany(
-    uint32_t client, const std::vector<uint32_t>& servers,
-    const std::vector<std::vector<uint8_t>>& requests,
-    const Handler& handler) {
-  const uint64_t start = now_us_;
-  uint64_t end = start;
-  std::vector<RpcResult> results;
-  results.reserve(servers.size());
-  for (size_t i = 0; i < servers.size(); ++i) {
-    now_us_ = start;  // branches run in parallel from the same instant
-    results.push_back(Call(client, servers[i], requests[i], handler));
-    end = std::max(end, now_us_);
+  if (!reply_at.has_value() || *reply_at > deadline) {
+    now_us_ = deadline;
+    return false;
   }
-  now_us_ = end;  // the round completes with its slowest branch
-  return results;
-}
-
-std::vector<SimNetwork::RpcResult> SimNetwork::Broadcast(
-    uint32_t client, const std::vector<uint32_t>& servers,
-    const std::vector<uint8_t>& request, const Handler& handler) {
-  const uint64_t start = now_us_;
-  uint64_t end = start;
-  std::vector<RpcResult> results;
-  results.reserve(servers.size());
-  for (uint32_t server : servers) {
-    now_us_ = start;  // branches run in parallel from the same instant
-    results.push_back(Call(client, server, request, handler));
-    end = std::max(end, now_us_);
+  now_us_ = *reply_at;
+  AdvanceTo(now_us_);
+  // Consume the matching reply; anything else sitting in the inbox is a
+  // stale reply from an abandoned attempt or parallel branch.
+  std::vector<Delivery>& inbox = endpoints_[call.client].inbox;
+  for (Delivery& d : inbox) {
+    if (d.seq == reply_seq) {
+      *reply = std::move(d.payload);
+      break;
+    }
   }
-  now_us_ = end;  // the round completes with its slowest branch
-  return results;
+  stats_.late_replies += inbox.size() - 1;
+  if (metrics_ != nullptr) {
+    metrics_->Inc(obs::Counter::kLateReplies, inbox.size() - 1);
+  }
+  inbox.clear();
+  return true;
 }
 
 std::vector<SimNetwork::RpcResult> SimNetwork::CallBatch(

@@ -5,16 +5,19 @@
 // modeled with actual messages: per-node endpoints with inboxes, a
 // virtual clock in microseconds, a seeded latency distribution
 // (base + exponential jitter per transmission), per-link drop
-// probability, and node-crash schedules. On top of the raw transport it
-// provides the synchronous RPC shape the protocol drivers need —
-// per-call timeouts with bounded retries and exponential backoff plus
-// deterministic jitter — so a slow or dropped reply is retried, and a
-// peer that exhausts the retry budget is *declared failed* instead of
-// silently aborting the run.
+// probability, and node-crash schedules. The synchronous RPC shape the
+// protocol drivers need — per-call timeouts with bounded retries and
+// jittered exponential backoff, so a slow or dropped reply is retried
+// and a peer that exhausts the budget is *declared failed* instead of
+// silently aborting the run — is net::Transport's RPC engine. This
+// class supplies only what is simulated: one attempt (request and reply
+// through the event queue, the step-crash coin, the handler, late-reply
+// bookkeeping), waiting as advancing the virtual clock, and the
+// virtual-parallel CallBatch.
 //
 // Determinism contract: every random decision (latency sample, drop,
-// step-crash, backoff jitter) draws from the single Rng owned by the
-// network, and the protocol drivers issue calls in a fixed order, so a
+// step-crash, backoff jitter) draws from the transport's single Rng,
+// and the protocol drivers make calls in a fixed order, so a
 // SimNetwork seeded identically replays the exact same trace. Parallel
 // experiment harnesses give each trial its OWN SimNetwork seeded from
 // the trial's SplitMix64 stream (sim/trial_runner.h); a SimNetwork must
@@ -36,13 +39,11 @@
 #define SEP2P_NET_SIM_NETWORK_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
 #include "net/transport.h"
 #include "obs/trace.h"
-#include "util/rng.h"
 
 namespace sep2p::net {
 
@@ -101,40 +102,21 @@ class SimNetwork : public Transport {
   // shutdown. Call once, after the last protocol action.
   void FinalizeTrace() override;
 
-  // Synchronous request/response from `client` to `server`, advancing
-  // the virtual clock: request latency + server processing + reply
-  // latency on success; timeout + backoff per failed attempt. The reply
-  // is delivered through the event queue into the client's inbox and
-  // consumed from there. An empty `handler` answers via the registered
-  // dispatch table instead (node::AppRuntime's path).
+  // Synchronous request/response from `client` to `server` through the
+  // RPC engine, advancing the virtual clock: request latency + server
+  // processing + reply latency on success; timeout + backoff per failed
+  // attempt. The reply is delivered through the event queue into the
+  // client's inbox and consumed from there. An empty `handler` answers
+  // via the registered dispatch table instead (node::AppRuntime's path).
   RpcResult Call(uint32_t client, uint32_t server,
                  const std::vector<uint8_t>& request,
-                 const Handler& handler = {}) override;
+                 const Handler& handler = {}) override {
+    return RunRpc(client, server, request, handler);
+  }
 
-  // `servers.size()` calls issued in parallel from `client`: every
-  // branch starts at the current virtual time and the clock lands on the
-  // slowest branch's completion. Branches are evaluated in index order,
-  // so the trace is deterministic.
-  std::vector<RpcResult> CallMany(uint32_t client,
-                                  const std::vector<uint32_t>& servers,
-                                  const std::vector<std::vector<uint8_t>>&
-                                      requests,
-                                  const Handler& handler = {}) override;
-
-  // Same-request fan-out: every server receives `request`. Equivalent to
-  // CallMany with `servers.size()` copies of `request`, without
-  // materializing those copies (the quorum paths — reveal, shortage,
-  // attest — all broadcast one message to k members).
-  std::vector<RpcResult> Broadcast(uint32_t client,
-                                   const std::vector<uint32_t>& servers,
-                                   const std::vector<uint8_t>& request,
-                                   const Handler& handler = {}) override;
-
-  // A parallel wave of calls from potentially MANY clients (e.g. every
-  // data source contributing to its aggregator at once): every call
-  // starts at the current virtual time and the clock lands on the
-  // slowest call's completion. Calls are evaluated in index order, so
-  // the trace is deterministic.
+  // A parallel wave: every call starts at the current virtual time and
+  // the clock lands on the slowest call's completion. Calls are
+  // evaluated in index order, so the trace is deterministic.
   std::vector<RpcResult> CallBatch(const std::vector<Outgoing>& calls,
                                    const Handler& handler = {}) override;
 
@@ -161,7 +143,7 @@ class SimNetwork : public Transport {
 
   // Jumps the virtual clock to `at_us` (delivering anything due), used
   // by the throughput engine to place each admitted task's execution at
-  // its admission instant. Mirrors CallMany's virtual-parallel shape —
+  // its admission instant. Mirrors CallBatch's virtual-parallel shape —
   // rewinding to an earlier instant models branches that ran
   // concurrently — so monotonicity is deliberately NOT required; the
   // event queue keys on delivery time, never on the current clock.
@@ -175,6 +157,10 @@ class SimNetwork : public Transport {
     SetTime(at_us);
     return true;
   }
+
+ protected:
+  bool AttemptRpc(const RpcCall& call, std::vector<uint8_t>* reply) override;
+  void WaitUs(uint64_t us) override { now_us_ += us; }
 
  private:
   struct Delivery {
@@ -206,7 +192,6 @@ class SimNetwork : public Transport {
   bool StepCrash(uint32_t node, uint64_t at_us);
 
   LinkModel link_;
-  util::Rng rng_;
   std::vector<Endpoint> endpoints_;
   // Binary heap managed with std::push_heap/pop_heap rather than a
   // std::priority_queue: priority_queue::top() is const, which forces a
@@ -216,9 +201,6 @@ class SimNetwork : public Transport {
   uint64_t now_us_ = 0;
   uint64_t next_seq_ = 0;
   double step_crash_probability_ = 0.0;
-  // RPC ids advance unconditionally (never from the Rng) so traced and
-  // untraced runs stay bit-identical.
-  uint64_t next_rpc_id_ = 0;
   uint64_t cur_rpc_ = 0;  // the RPC the current Transmit belongs to
 };
 

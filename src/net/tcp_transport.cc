@@ -57,19 +57,17 @@ int ConnectTo(const std::string& host, uint16_t port) {
 }  // namespace
 
 TcpTransport::TcpTransport(const Options& options)
-    : node_count_(options.node_count),
+    : Transport(options.retry, options.seed),
+      node_count_(options.node_count),
       process_count_(options.process_count == 0 ? 1 : options.process_count),
       process_index_(options.process_index),
       listen_host_(options.listen_host),
       listen_port_(options.listen_port),
-      rng_(options.seed),
       epoch_(std::chrono::steady_clock::now()) {
-  retry_ = options.retry;
   // Brand rpc ids with the issuing process (same scheme as engagement
   // nonces) so merged cluster traces never see two processes reuse one
   // id.
-  next_rpc_id_.store((static_cast<uint64_t>(process_index_) + 1) << 48,
-                     std::memory_order_relaxed);
+  next_rpc_id_ = (static_cast<uint64_t>(process_index_) + 1) << 48;
   peers_.reserve(process_count_);
   for (uint32_t p = 0; p < process_count_; ++p) {
     peers_.push_back(std::make_unique<PeerConn>());
@@ -364,13 +362,16 @@ void TcpTransport::ServiceLoop(int fd) {
       resp.rpc_id = f.rpc_id;
       resp.src = f.dst;
       resp.dst = f.src;
-      {
+      if (f.src >= node_count_ || f.dst >= node_count_ ||
+          ProcessOf(f.dst) != process_index_) {
+        // The addressing is the peer's word: handlers index directory
+        // columns (keys, certificates) with dst, so a request for a node
+        // this process does not host is refused before any handler
+        // runs and stays out of the stats and the trace. Call never
+        // sends one: it routes every request to ProcessOf(server).
+        resp.status = kFrameRefused;
+      } else {
         std::lock_guard<std::mutex> lock(mu_);
-        now_cache_ = now_us();
-        ++stats_.messages_delivered;
-        if (metrics_ != nullptr) {
-          metrics_->Inc(obs::Counter::kMessagesDelivered);
-        }
         if (trace_ != nullptr) {
           // Merge the caller's stamp first so every event this request
           // causes orders after its send, then adopt the caller's span:
@@ -379,20 +380,9 @@ void TcpTransport::ServiceLoop(int fd) {
           // CLIENT's span tree — the server opens no spans of its own.
           trace_->ObserveHlc(f.hlc);
           trace_->set_remote_span(f.span);
-          obs::Event e;
-          e.t_us = now_cache_;
-          e.kind = obs::EventKind::kDeliver;
-          e.node = f.dst;
-          e.peer = f.src;
-          e.rpc = f.rpc_id;
-          e.value = f.payload.size();
-          trace_->Record(std::move(e));
-          ++trace_delivers_;
         }
-        dispatch_thread_.store(std::this_thread::get_id(),
-                               std::memory_order_relaxed);
-        std::optional<std::vector<uint8_t>> reply = Dispatch(f.dst, f.payload);
-        dispatch_thread_.store(std::thread::id(), std::memory_order_relaxed);
+        std::optional<std::vector<uint8_t>> reply =
+            DeliverAndDispatchLocked(f.src, f.dst, f.rpc_id, f.payload);
         if (reply.has_value()) {
           resp.status = kFrameOk;
           resp.payload = std::move(*reply);
@@ -465,20 +455,28 @@ void TcpTransport::CountSend(uint32_t from, uint64_t rpc, size_t bytes,
   }
 }
 
-void TcpTransport::RecordRpcEvent(obs::EventKind kind, uint32_t client,
-                                  uint32_t server, uint64_t rpc,
-                                  uint64_t value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (trace_ == nullptr) return;
+std::optional<std::vector<uint8_t>> TcpTransport::DeliverAndDispatchLocked(
+    uint32_t from, uint32_t to, uint64_t rpc,
+    const std::vector<uint8_t>& request) {
   now_cache_ = now_us();
-  obs::Event e;
-  e.t_us = now_cache_;
-  e.kind = kind;
-  e.node = client;
-  e.peer = server;
-  e.rpc = rpc;
-  e.value = value;
-  trace_->Record(std::move(e));
+  ++stats_.messages_delivered;
+  if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kMessagesDelivered);
+  if (trace_ != nullptr) {
+    obs::Event e;
+    e.t_us = now_cache_;
+    e.kind = obs::EventKind::kDeliver;
+    e.node = to;
+    e.peer = from;
+    e.rpc = rpc;
+    e.value = request.size();
+    trace_->Record(std::move(e));
+    ++trace_delivers_;
+  }
+  dispatch_thread_.store(std::this_thread::get_id(),
+                         std::memory_order_relaxed);
+  std::optional<std::vector<uint8_t>> reply = Dispatch(to, request);
+  dispatch_thread_.store(std::thread::id(), std::memory_order_relaxed);
+  return reply;
 }
 
 bool TcpTransport::AttemptRemote(uint32_t process, Frame& request,
@@ -548,129 +546,38 @@ bool TcpTransport::AttemptRemote(uint32_t process, Frame& request,
   return ok;
 }
 
-Transport::RpcResult TcpTransport::Call(uint32_t client, uint32_t server,
-                                        const std::vector<uint8_t>& request,
-                                        const Handler& handler) {
+Transport::AccountingStep TcpTransport::BeginAccounting() {
+  std::unique_lock<std::mutex> lock(mu_);
+  now_cache_ = now_us();
+  return {std::move(lock), now_cache_};
+}
+
+void TcpTransport::WaitUs(uint64_t us) {
+  std::this_thread::sleep_for(std::chrono::microseconds(us));
+}
+
+bool TcpTransport::AttemptRpc(const RpcCall& call,
+                              std::vector<uint8_t>* reply) {
   // Per-call handlers model servers in-process; a remote transport
   // always answers from the server process's registered table.
-  (void)handler;
-  RpcResult result;
-  const uint64_t rpc = next_rpc_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kRpcsBegun);
+  const uint32_t target = ProcessOf(call.server);
+  if (target != process_index_) {
+    Frame f;
+    f.type = kFrameRequest;
+    f.rpc_id = call.rpc;
+    f.src = call.client;
+    f.dst = call.server;
+    f.payload = call.request;
+    return AttemptRemote(target, f, reply);
   }
-  RecordRpcEvent(obs::EventKind::kRpcBegin, client, server, rpc, 0);
-  const uint64_t rpc_start = now_us();
-
-  const uint32_t target = ProcessOf(server);
-  uint64_t backoff = retry_.backoff_base_us;
-  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-    result.attempts = attempt;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kRpcAttempts);
-    }
-    RecordRpcEvent(obs::EventKind::kAttempt, client, server, rpc,
-                   static_cast<uint64_t>(attempt));
-
-    if (target == process_index_) {
-      // Locally-hosted server: no socket, same dispatch + accounting.
-      CountSend(client, rpc, request.size());
-      std::lock_guard<std::mutex> lock(mu_);
-      now_cache_ = now_us();
-      ++stats_.messages_delivered;
-      if (metrics_ != nullptr) {
-        metrics_->Inc(obs::Counter::kMessagesDelivered);
-      }
-      if (trace_ != nullptr) {
-        obs::Event e;
-        e.t_us = now_cache_;
-        e.kind = obs::EventKind::kDeliver;
-        e.node = server;
-        e.peer = client;
-        e.rpc = rpc;
-        e.value = request.size();
-        trace_->Record(std::move(e));
-        ++trace_delivers_;
-      }
-      dispatch_thread_.store(std::this_thread::get_id(),
-                             std::memory_order_relaxed);
-      std::optional<std::vector<uint8_t>> reply = Dispatch(server, request);
-      dispatch_thread_.store(std::thread::id(), std::memory_order_relaxed);
-      if (reply.has_value()) {
-        result.ok = true;
-        result.reply = std::move(*reply);
-      }
-    } else {
-      Frame f;
-      f.type = kFrameRequest;
-      f.rpc_id = rpc;
-      f.src = client;
-      f.dst = server;
-      f.payload = request;
-      result.ok = AttemptRemote(target, f, &result.reply);
-    }
-
-    if (result.ok) {
-      std::lock_guard<std::mutex> lock(mu_);
-      now_cache_ = now_us();
-      if (metrics_ != nullptr) {
-        metrics_->Observe(obs::Hist::kRpcLatencyUs, now_cache_ - rpc_start);
-        metrics_->Observe(obs::Hist::kRpcAttempts,
-                          static_cast<uint64_t>(attempt));
-      }
-      if (trace_ != nullptr) {
-        obs::Event e;
-        e.t_us = now_cache_;
-        e.kind = obs::EventKind::kRpcEnd;
-        e.node = client;
-        e.peer = server;
-        e.rpc = rpc;
-        e.value = static_cast<uint64_t>(attempt);
-        trace_->Record(std::move(e));
-      }
-      return result;
-    }
-
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.timeouts;
-      if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kTimeouts);
-    }
-    RecordRpcEvent(obs::EventKind::kTimeout, client, server, rpc,
-                   static_cast<uint64_t>(attempt));
-    if (attempt < retry_.max_attempts) {
-      uint64_t wait = backoff;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.retries;
-        if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kRetries);
-        if (retry_.jitter_fraction > 0) {
-          wait += static_cast<uint64_t>(static_cast<double>(backoff) *
-                                        retry_.jitter_fraction *
-                                        rng_.NextDouble());
-        }
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(wait));
-      backoff = static_cast<uint64_t>(static_cast<double>(backoff) *
-                                      retry_.backoff_factor);
-      RecordRpcEvent(obs::EventKind::kRetry, client, server, rpc,
-                     static_cast<uint64_t>(attempt + 1));
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.rpc_failures;
-    if (metrics_ != nullptr) {
-      metrics_->Inc(obs::Counter::kRpcsFailed);
-      metrics_->Observe(obs::Hist::kRpcAttempts,
-                        static_cast<uint64_t>(retry_.max_attempts));
-    }
-  }
-  RecordRpcEvent(obs::EventKind::kRpcFail, client, server, rpc,
-                 static_cast<uint64_t>(retry_.max_attempts));
-  return result;
+  // Locally-hosted server: no socket, same dispatch + accounting.
+  CountSend(call.client, call.rpc, call.request.size());
+  std::lock_guard<std::mutex> lock(mu_);
+  std::optional<std::vector<uint8_t>> answer = DeliverAndDispatchLocked(
+      call.client, call.server, call.rpc, call.request);
+  if (!answer.has_value()) return false;
+  *reply = std::move(*answer);
+  return true;
 }
 
 void TcpTransport::Register(uint8_t tag, Handler handler) {

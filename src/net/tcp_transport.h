@@ -18,15 +18,22 @@
 // process (requests multiplexed by rpc id, a reader thread demuxes
 // responses) plus one service thread per accepted connection (requests
 // dispatched through Transport::Dispatch, responses written back on the
-// same connection). Reconnect: an outgoing connection that dies is
-// re-established on the next attempt; in-flight calls on it time out
-// and retry per RetryPolicy (wall-clock here, virtual in sim).
+// same connection). A request frame's src/dst are the peer's word: one
+// that names a node this process does not host is refused unhandled.
+// Reconnect: an outgoing connection that dies is re-established on the
+// next attempt; in-flight calls on it time out and retry.
 //
-// Threading: Call/CallMany/... are driver-side and may be used from one
-// driver thread; service threads run concurrently with it. ONE mutex
-// (mu_) serializes every dispatch, stats update and obs emission —
-// TraceRecorder and MetricsRegistry are single-threaded by contract, so
-// correctness beats parallel handler execution here.
+// Retries: Transport's RPC engine runs the RetryPolicy (wall-clock
+// here, virtual in sim). This class supplies one attempt — the local
+// short-circuit or a frame to the callee's process — and waits by
+// sleeping.
+//
+// Threading: Call and the fan-out are driver-side and may be used from
+// one driver thread; service threads run concurrently with it. ONE
+// mutex (mu_) serializes every dispatch, stats update and obs emission,
+// the engine's accounting steps included — TraceRecorder and
+// MetricsRegistry are single-threaded by contract, so correctness
+// beats parallel handler execution here.
 //
 // Shutdown: RequestStop() (safe from a SIGTERM handler via the flag it
 // sets) makes the accept loop exit; Stop() closes the listener, drains
@@ -52,13 +59,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/frame.h"
 #include "net/transport.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace sep2p::net {
@@ -131,9 +138,13 @@ class TcpTransport : public Transport {
   uint32_t node_count() const override { return node_count_; }
   void set_trace(obs::TraceRecorder* trace) override;
   void FinalizeTrace() override;
+  // Through the RPC engine: local nodes answer by direct dispatch,
+  // remote ones by a frame to their process; backoff sleeps.
   RpcResult Call(uint32_t client, uint32_t server,
                  const std::vector<uint8_t>& request,
-                 const Handler& handler = {}) override;
+                 const Handler& handler = {}) override {
+    return RunRpc(client, server, request, handler);
+  }
 
   // Registry mutation is serialized under mu_ against concurrent
   // dispatch — except when the caller IS a handler running inside
@@ -142,6 +153,12 @@ class TcpTransport : public Transport {
   void Register(uint8_t tag, Handler handler) override;
   void RegisterNode(uint32_t node, uint8_t tag, Handler handler) override;
   void UnregisterNode(uint32_t node, uint8_t tag) override;
+
+ protected:
+  bool AttemptRpc(const RpcCall& call, std::vector<uint8_t>* reply) override;
+  void WaitUs(uint64_t us) override;
+  // Takes mu_ and refreshes the clock the recorder is bound to.
+  AccountingStep BeginAccounting() override;
 
  private:
   struct PendingReply {
@@ -178,13 +195,19 @@ class TcpTransport : public Transport {
   bool AttemptRemote(uint32_t process, Frame& request,
                      std::vector<uint8_t>* out);
 
+  // Counts and traces the arrival of request `rpc` from `from` at the
+  // local node `to`, then answers it from the registered table. Under
+  // mu_ (the service thread's and the local short-circuit's shared
+  // server side).
+  std::optional<std::vector<uint8_t>> DeliverAndDispatchLocked(
+      uint32_t from, uint32_t to, uint64_t rpc,
+      const std::vector<uint8_t>& request);
+
   // Stats + obs helpers, all under mu_. When tracing, CountSend returns
   // the send event's span and HLC stamp through the out-params so the
   // departing frame can carry them.
   void CountSend(uint32_t from, uint64_t rpc, size_t bytes,
                  uint64_t* span_out = nullptr, uint64_t* hlc_out = nullptr);
-  void RecordRpcEvent(obs::EventKind kind, uint32_t client, uint32_t server,
-                      uint64_t rpc, uint64_t value);
 
   uint32_t node_count_;
   uint32_t process_count_;
@@ -220,12 +243,10 @@ class TcpTransport : public Transport {
   // registration and skip the lock they already hold.
   std::atomic<std::thread::id> dispatch_thread_{};
 
-  std::atomic<uint64_t> next_rpc_id_{0};
   std::atomic<uint64_t> next_nonce_{0};
   // Status-plane gauges (lock-free: scraped from service threads).
   std::atomic<uint64_t> reconnects_{0};
   std::atomic<int64_t> service_conns_{0};
-  util::Rng rng_;  // backoff jitter (under mu_)
   std::chrono::steady_clock::time_point epoch_;  // uptime gauge base
 };
 

@@ -40,27 +40,85 @@ std::optional<std::vector<uint8_t>> Transport::Dispatch(
   return it->second(server, request);
 }
 
-std::vector<Transport::RpcResult> Transport::CallMany(
-    uint32_t client, const std::vector<uint32_t>& servers,
-    const std::vector<std::vector<uint8_t>>& requests,
-    const Handler& handler) {
-  std::vector<RpcResult> results;
-  results.reserve(servers.size());
-  for (size_t i = 0; i < servers.size(); ++i) {
-    results.push_back(Call(client, servers[i], requests[i], handler));
+Transport::RpcResult Transport::RunRpc(uint32_t client, uint32_t server,
+                                       const std::vector<uint8_t>& request,
+                                       const Handler& handler) {
+  RpcResult result;
+  RpcCall call{client, server, 0, request, handler};
+  uint64_t rpc_start = 0;
+  {
+    AccountingStep step = BeginAccounting();
+    call.rpc = ++next_rpc_id_;
+    rpc_start = step.now_us;
+    if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kRpcsBegun);
+    RecordRpcEvent(call, obs::EventKind::kRpcBegin, step.now_us, 0);
   }
-  return results;
+  uint64_t backoff = retry_.backoff_base_us;
+  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
+    result.attempts = attempt;
+    {
+      AccountingStep step = BeginAccounting();
+      if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kRpcAttempts);
+      RecordRpcEvent(call, obs::EventKind::kAttempt, step.now_us, attempt);
+    }
+    if (AttemptRpc(call, &result.reply)) {
+      AccountingStep step = BeginAccounting();
+      result.ok = true;
+      if (metrics_ != nullptr) {
+        metrics_->Observe(obs::Hist::kRpcLatencyUs, step.now_us - rpc_start);
+        metrics_->Observe(obs::Hist::kRpcAttempts,
+                          static_cast<uint64_t>(attempt));
+      }
+      RecordRpcEvent(call, obs::EventKind::kRpcEnd, step.now_us, attempt);
+      return result;
+    }
+    const bool last = attempt == retry_.max_attempts;
+    uint64_t wait = backoff;
+    {
+      AccountingStep step = BeginAccounting();
+      ++stats_.timeouts;
+      if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kTimeouts);
+      RecordRpcEvent(call, obs::EventKind::kTimeout, step.now_us, attempt);
+      if (!last) {
+        ++stats_.retries;
+        if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kRetries);
+        if (retry_.jitter_fraction > 0) {
+          wait += static_cast<uint64_t>(static_cast<double>(backoff) *
+                                        retry_.jitter_fraction *
+                                        rng_.NextDouble());
+        }
+      }
+    }
+    if (last) break;
+    WaitUs(wait);
+    backoff = static_cast<uint64_t>(static_cast<double>(backoff) *
+                                    retry_.backoff_factor);
+    AccountingStep step = BeginAccounting();
+    RecordRpcEvent(call, obs::EventKind::kRetry, step.now_us, attempt + 1);
+  }
+  AccountingStep step = BeginAccounting();
+  ++stats_.rpc_failures;
+  if (metrics_ != nullptr) {
+    metrics_->Inc(obs::Counter::kRpcsFailed);
+    metrics_->Observe(obs::Hist::kRpcAttempts,
+                      static_cast<uint64_t>(retry_.max_attempts));
+  }
+  RecordRpcEvent(call, obs::EventKind::kRpcFail, step.now_us,
+                 retry_.max_attempts);
+  return result;
 }
 
-std::vector<Transport::RpcResult> Transport::Broadcast(
-    uint32_t client, const std::vector<uint32_t>& servers,
-    const std::vector<uint8_t>& request, const Handler& handler) {
-  std::vector<RpcResult> results;
-  results.reserve(servers.size());
-  for (uint32_t server : servers) {
-    results.push_back(Call(client, server, request, handler));
-  }
-  return results;
+void Transport::RecordRpcEvent(const RpcCall& call, obs::EventKind kind,
+                               uint64_t t_us, int attempt) {
+  if (trace_ == nullptr) return;
+  obs::Event e;
+  e.t_us = t_us;
+  e.kind = kind;
+  e.node = call.client;
+  e.peer = call.server;
+  e.rpc = call.rpc;
+  e.value = static_cast<uint64_t>(attempt);
+  trace_->Record(std::move(e));
 }
 
 std::vector<Transport::RpcResult> Transport::CallBatch(
@@ -71,6 +129,27 @@ std::vector<Transport::RpcResult> Transport::CallBatch(
     results.push_back(Call(out.client, out.server, out.request, handler));
   }
   return results;
+}
+
+std::vector<Transport::RpcResult> Transport::CallMany(
+    uint32_t client, const std::vector<uint32_t>& servers,
+    const std::vector<std::vector<uint8_t>>& requests,
+    const Handler& handler) {
+  std::vector<Outgoing> calls;
+  calls.reserve(servers.size());
+  for (size_t i = 0; i < servers.size(); ++i) {
+    calls.push_back({client, servers[i], requests[i]});
+  }
+  return CallBatch(calls, handler);
+}
+
+std::vector<Transport::RpcResult> Transport::Broadcast(
+    uint32_t client, const std::vector<uint32_t>& servers,
+    const std::vector<uint8_t>& request, const Handler& handler) {
+  std::vector<Outgoing> calls;
+  calls.reserve(servers.size());
+  for (uint32_t server : servers) calls.push_back({client, server, request});
+  return CallBatch(calls, handler);
 }
 
 Transport::QuorumResult Transport::EngageQuorum(
@@ -90,16 +169,12 @@ Transport::QuorumResult Transport::EngageQuorum(
   std::vector<int> pending(k);
   for (int i = 0; i < k; ++i) pending[i] = i;
   while (!pending.empty()) {
-    std::vector<uint32_t> servers;
-    std::vector<std::vector<uint8_t>> requests;
-    servers.reserve(pending.size());
-    requests.reserve(pending.size());
+    std::vector<Outgoing> wave;
+    wave.reserve(pending.size());
     for (int slot : pending) {
-      servers.push_back(q.members[slot]);
-      requests.push_back(make_request(q.members[slot]));
+      wave.push_back({client, q.members[slot], make_request(q.members[slot])});
     }
-    std::vector<RpcResult> results =
-        CallMany(client, servers, requests, handler);
+    std::vector<RpcResult> results = CallBatch(wave, handler);
 
     std::vector<int> still_pending;
     for (size_t i = 0; i < pending.size(); ++i) {
@@ -117,7 +192,7 @@ Transport::QuorumResult Transport::EngageQuorum(
         obs::Event e;
         e.t_us = now_us();
         e.kind = obs::EventKind::kMark;
-        e.node = servers[i];
+        e.node = wave[i].server;
         e.peer = candidates[next];
         e.detail = "quorum-replacement";
         trace_->Record(std::move(e));

@@ -8,23 +8,30 @@
 //
 //   * SimNetwork (net/sim_network.h) — the deterministic discrete-event
 //     engine. Virtual clock, seeded latency/drop/crash injection,
-//     virtual-parallel CallMany. Bit-identical replay for a fixed seed.
+//     virtual-parallel CallBatch. Bit-identical replay for a fixed seed.
 //   * TcpTransport (net/tcp_transport.h) — real sockets between OS
 //     processes. Length-prefixed frames over core/wire.h, wall-clock
 //     timeouts, per-connection reconnect.
 //
 // The split of responsibilities:
 //
-//   * The base class owns the handler registry and PeekTag dispatch
-//     (moved here from node::AppRuntime so a *remote* process can route
-//     an incoming frame to the same handler a sim run would invoke
-//     in-process), the shared Stats block, the obs hooks, and the
-//     EngageQuorum replacement-wave algorithm (pure control flow over
-//     CallMany — identical for both transports by construction).
-//   * Implementations own the clock, the wire, and Call/CallMany/
-//     Broadcast/CallBatch. The base provides sequential defaults built
-//     on Call; SimNetwork overrides them with its virtual-parallel
-//     versions.
+//   * The base class owns everything both worlds share: the handler
+//     registry and PeekTag dispatch (so a *remote* process routes an
+//     incoming frame to the same handler a sim run would invoke
+//     in-process), the Stats block, the obs hooks, the RPC engine and
+//     the fan-out. The engine (RunRpc) is the paper's §3.6 liveness
+//     policy, written once: RPC ids, the attempt / timeout / jittered
+//     exponential backoff / retry / give-up loop over RetryPolicy, and
+//     all of its Stats, metrics and trace events. CallMany and
+//     Broadcast are helpers over CallBatch, and EngageQuorum's
+//     replacement waves are pure control flow over CallBatch.
+//   * Implementations own the clock and the wire. Their Call forwards
+//     to RunRpc and supplies one attempt (AttemptRpc) and one way to
+//     wait (WaitUs): SimNetwork transmits through its event queue and
+//     advances the virtual clock; TcpTransport dispatches locally or
+//     writes a frame, and sleeps. CallBatch is the only virtual
+//     fan-out: the base runs a wave sequentially, SimNetwork
+//     overrides it with its virtual-parallel version.
 //
 // Per-call handlers vs registered dispatch: Call takes an optional
 // Handler. SimNetwork executes it in-process (this is how the protocol
@@ -39,8 +46,9 @@
 // which world it is in without #ifdef forks.
 //
 // Thread-safety: the registry and stats are NOT internally locked; a
-// SimNetwork must stay on one thread, and TcpTransport serializes all
-// dispatch + stats + obs under its own mutex.
+// SimNetwork must stay on one thread. TcpTransport serializes all
+// dispatch + stats + obs under its own mutex, which the engine takes
+// through BeginAccounting.
 
 #ifndef SEP2P_NET_TRANSPORT_H_
 #define SEP2P_NET_TRANSPORT_H_
@@ -48,19 +56,22 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "obs/trace.h"
+#include "util/rng.h"
 
 namespace sep2p::net {
 
-// Per-RPC timeout/retry/backoff policy. For SimNetwork the times are
-// virtual microseconds; for TcpTransport they are wall-clock
-// microseconds. Each transport declares which domain it meters in its
-// traces via obs::TraceMeta::clock (obs/trace.h) so exporters and the
-// analyzer label time axes instead of conflating the two.
+// Per-RPC timeout/retry/backoff policy, run by Transport::RunRpc. For
+// SimNetwork the times are virtual microseconds; for TcpTransport they
+// are wall-clock microseconds. Each transport declares which domain it
+// meters in its traces via obs::TraceMeta::clock (obs/trace.h) so
+// exporters and the analyzer label time axes instead of conflating the
+// two.
 struct RetryPolicy {
   // An attempt times out when the reply has not arrived this long after
   // the request departed.
@@ -205,11 +216,17 @@ class Transport {
                          const std::vector<uint8_t>& request,
                          const Handler& handler = {}) = 0;
 
-  // `servers.size()` calls issued in parallel from `client`. The base
-  // default issues them sequentially in index order (a wall-clock
-  // transport overlaps real time naturally); SimNetwork overrides with
-  // its virtual-parallel version.
-  virtual std::vector<RpcResult> CallMany(
+  // A parallel wave of calls from potentially MANY clients (e.g. every
+  // data source contributing to its aggregator at once). The only
+  // virtual fan-out: the base makes the calls sequentially in index
+  // order (a wall-clock transport overlaps real time naturally);
+  // SimNetwork overrides it with its virtual-parallel version.
+  virtual std::vector<RpcResult> CallBatch(
+      const std::vector<Outgoing>& calls, const Handler& handler = {});
+
+  // `servers.size()` calls made in parallel from `client`: one
+  // CallBatch wave, request i to server i.
+  std::vector<RpcResult> CallMany(
       uint32_t client, const std::vector<uint32_t>& servers,
       const std::vector<std::vector<uint8_t>>& requests,
       const Handler& handler = {});
@@ -217,14 +234,10 @@ class Transport {
   // Same-request fan-out: every server receives `request`. A distinct
   // name, not an overload: braced-init request lists would be
   // ambiguous.
-  virtual std::vector<RpcResult> Broadcast(
-      uint32_t client, const std::vector<uint32_t>& servers,
-      const std::vector<uint8_t>& request, const Handler& handler = {});
-
-  // A parallel wave of calls from potentially MANY clients (e.g. every
-  // data source contributing to its aggregator at once).
-  virtual std::vector<RpcResult> CallBatch(
-      const std::vector<Outgoing>& calls, const Handler& handler = {});
+  std::vector<RpcResult> Broadcast(uint32_t client,
+                                   const std::vector<uint32_t>& servers,
+                                   const std::vector<uint8_t>& request,
+                                   const Handler& handler = {});
 
   // Engages `k` responsive members out of `candidates` (in order):
   // the first k are contacted in parallel; members whose RPC exhausts
@@ -232,7 +245,7 @@ class Transport {
   // candidates in a follow-up parallel wave. Fails (ok = false) only
   // when the candidate list runs dry — the caller's cue that the quorum
   // is genuinely unreachable and a full restart is warranted. Pure
-  // control flow over CallMany, shared by every transport.
+  // control flow over CallBatch, shared by every transport.
   QuorumResult EngageQuorum(
       uint32_t client, const std::vector<uint32_t>& candidates, int k,
       const std::function<std::vector<uint8_t>(uint32_t)>& make_request,
@@ -245,13 +258,68 @@ class Transport {
 
  protected:
   Transport() = default;
+  Transport(const RetryPolicy& retry, uint64_t seed)
+      : retry_(retry), rng_(seed) {}
+
+  // ---- RPC engine --------------------------------------------------
+
+  // One RPC being driven by RunRpc.
+  struct RpcCall {
+    uint32_t client;
+    uint32_t server;
+    uint64_t rpc;  // id, unique per transport (trace attribution)
+    const std::vector<uint8_t>& request;
+    const Handler& handler;
+  };
+
+  // Drives one call through retry_: assigns its id, runs attempts until
+  // one is answered or the budget is spent, waits a jittered
+  // exponential backoff (the jitter drawn from rng_) between attempts,
+  // and does all of the accounting — rpc-begin / attempt / timeout /
+  // retry / rpc-end / rpc-fail events, Stats::{timeouts, retries,
+  // rpc_failures}, their counters and the latency and attempt
+  // histograms. Implementations' Call forwards here.
+  RpcResult RunRpc(uint32_t client, uint32_t server,
+                   const std::vector<uint8_t>& request,
+                   const Handler& handler);
+
+  // One attempt of `call`: delivers the request and waits for the reply
+  // until the attempt times out. Returns true with `*reply` filled when
+  // the reply arrived in time, leaving now_us() at its arrival;
+  // otherwise false, leaving now_us() where the attempt ended. The
+  // defaults serve transports that implement Call without the engine.
+  virtual bool AttemptRpc(const RpcCall& call, std::vector<uint8_t>* reply) {
+    (void)call;
+    (void)reply;
+    return false;
+  }
+  // Waits out a `us`-microsecond backoff before the next attempt.
+  virtual void WaitUs(uint64_t us) { (void)us; }
+
+  // One accounting step of the engine: the lock that serializes it
+  // against the transport's own server-side threads (none by default)
+  // and the instant its events are stamped with.
+  struct AccountingStep {
+    std::unique_lock<std::mutex> lock;
+    uint64_t now_us = 0;
+  };
+  virtual AccountingStep BeginAccounting() { return {{}, now_us()}; }
 
   Stats stats_;
   RetryPolicy retry_;
+  // Draws the backoff jitter; SimNetwork also samples latency, drops
+  // and step crashes from it, so one seed fixes the whole run.
+  util::Rng rng_{0};
+  // Last RPC id assigned; ids advance whether or not tracing is on, so
+  // traced and untraced runs stay bit-identical.
+  uint64_t next_rpc_id_ = 0;
   obs::TraceRecorder* trace_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
 
  private:
+  void RecordRpcEvent(const RpcCall& call, obs::EventKind kind,
+                      uint64_t t_us, int attempt);
+
   std::map<uint8_t, Handler> handlers_;
   std::map<std::pair<uint32_t, uint8_t>, Handler> node_handlers_;
 };

@@ -11,6 +11,9 @@ namespace {
 
 constexpr uint64_t kFnvPrime = 1099511628211ULL;
 constexpr uint32_t kNoNode = UINT32_MAX;
+// The k-table is rebuilt when the alive population leaves
+// [built / factor, built * factor] for the population it was built for.
+constexpr double kKTableRefreshFactor = 1.25;
 
 }  // namespace
 
@@ -102,14 +105,10 @@ void ChurnDriver::DoJoin() {
 
   dir.SetAlive(idx, true);
 
-  uint64_t ok = 1;
-  if (options_.attested_joins) {
-    core::ProtocolContext ctx = network_->context();
-    ctx.now = now_us_ / 1000000 + 1000;  // virtual seconds on the §3.6 clock
-    node::JoinProtocol join(ctx);
-    Result<node::JoinProtocol::Outcome> outcome = join.Join(idx, rng_);
-    ok = outcome.ok() ? 1 : 0;
-  }
+  core::ProtocolContext ctx = network_->context();
+  ctx.now = now_us_ / 1000000 + 1000;  // virtual seconds on the §3.6 clock
+  node::JoinProtocol join(ctx);
+  const uint64_t ok = join.Join(idx, rng_).ok() ? 1 : 0;
   if (ok != 0) {
     ++stats_.joins;
   } else {
@@ -124,15 +123,13 @@ void ChurnDriver::DoJoin() {
 
   // Population drifted upward: refresh the k-table when it leaves the
   // band the current table was built for.
-  const double factor = options_.ktable_refresh_factor;
-  if (factor > 1.0) {
-    const double alive = static_cast<double>(dir.alive_count());
-    const double built = static_cast<double>(ktable_population_);
-    if (alive > built * factor || alive < built / factor) {
-      network_->RefreshKTable(dir.alive_count());
-      ktable_population_ = dir.alive_count();
-      ++stats_.ktable_refreshes;
-    }
+  const double alive = static_cast<double>(dir.alive_count());
+  const double built = static_cast<double>(ktable_population_);
+  if (alive > built * kKTableRefreshFactor ||
+      alive < built / kKTableRefreshFactor) {
+    network_->RefreshKTable(dir.alive_count());
+    ktable_population_ = dir.alive_count();
+    ++stats_.ktable_refreshes;
   }
   Fold(Kind::kJoin, idx, ok);
 }

@@ -13,7 +13,8 @@
 // the issuance load real churn puts on the authority) and previously
 // departed nodes re-joining with their existing credentials. Each join
 // then runs the full §3.6 attested-join protocol (2k signatures, 2(2k+1)
-// verifications) unless Options::attested_joins is off.
+// verifications). The k-table is rebuilt whenever the alive population
+// drifts more than 25% away from the population it was built for.
 //
 // Determinism: the driver is strictly sequential on the virtual clock
 // and owns a single SplitMix64 stream, so a run is a pure function of
@@ -40,12 +41,6 @@ class ChurnDriver {
     double join_rate_per_s = 1.0;
     double leave_rate_per_s = 0.5;
     double crash_rate_per_s = 0.5;
-    // Run the §3.6 attested-join protocol for every join (CA issuance
-    // still happens regardless; this gates the attestation rounds).
-    bool attested_joins = true;
-    // Rebuild the k-table when the alive population drifts beyond this
-    // factor from the population it was built for (0 disables).
-    double ktable_refresh_factor = 1.25;
     uint64_t seed = 0x636875726eULL;  // "churn"
     obs::MetricsRegistry* metrics = nullptr;
   };

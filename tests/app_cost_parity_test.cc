@@ -18,6 +18,9 @@
 #include "core/selection.h"
 #include "core/vrand.h"
 #include "crypto/hash256.h"
+#include "obs/export.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "tests/test_util.h"
 
 namespace sep2p::apps {
@@ -205,6 +208,13 @@ class SelectionGoldenTest : public ::testing::Test {
     std::memcpy(&bits, &v, sizeof(bits));
     return Fold(h, bits);
   }
+  static uint64_t FoldBytes(uint64_t h, const std::string& bytes) {
+    for (unsigned char c : bytes) {
+      h ^= c;
+      h *= 1099511628211ULL;
+    }
+    return h;
+  }
   static uint64_t FoldCost(uint64_t h, const net::Cost& cost) {
     h = FoldDouble(h, cost.crypto_latency);
     h = FoldDouble(h, cost.msg_latency);
@@ -244,6 +254,67 @@ TEST_F(SelectionGoldenTest, SelectionDigestIsPinned) {
   }
   EXPECT_GT(relocations, 0);  // the tight pairs exercise relocation
   EXPECT_EQ(digest, 0xcafc11f7eb6e86a7ULL) << std::hex << digest;
+}
+
+// Golden pin for the RPC engine on a faulty link: 20 traced and
+// metered selections over ONE SimNetwork with drops, latency jitter,
+// backoff jitter and step crashes (nodes die for good, so later
+// selections route around earlier casualties). A selection that gives
+// up is restarted, as the failure sweeps do. The digest folds every
+// outcome, the whole JSONL trace, the metrics snapshot and every Stats
+// field, so any change to the retry loop's Rng draws, clock arithmetic,
+// event order or accounting moves it.
+TEST_F(SelectionGoldenTest, FaultyLinkDigestIsPinned) {
+  net::LinkModel link;
+  link.drop_probability = 0.05;
+  link.jitter_mean_us = 15'000;
+  // A timeout close to the round trip, so some replies land late.
+  net::RetryPolicy retry;
+  retry.timeout_us = 100'000;
+  retry.backoff_base_us = 20'000;
+  net::SimNetwork transport(1200, link, retry, /*seed=*/77);
+  transport.set_step_crash_probability(0.004);
+  obs::TraceRecorder trace;
+  obs::MetricsRegistry metrics;
+  transport.set_trace(&trace);
+  transport.set_metrics(&metrics);
+  uint64_t digest = 14695981039346656037ULL;
+  int failed_runs = 0;
+  for (uint64_t i = 0; i < 20; ++i) {
+    core::SelectionProtocol protocol(ctx_);
+    util::Rng rng(3000 + 29 * i);
+    const uint32_t trigger = static_cast<uint32_t>((i * 83 + 11) % 1200);
+    for (int attempt = 1; attempt <= 5; ++attempt) {
+      auto run = protocol.Run(trigger, rng, transport);
+      digest = Fold(digest, static_cast<uint64_t>(run.status().code()));
+      if (!run.ok()) {
+        ++failed_runs;
+        continue;
+      }
+      for (uint32_t a : run->actor_indices) digest = Fold(digest, a);
+      digest = Fold(digest, run->setter_index);
+      for (uint32_t s : run->sl_indices) digest = Fold(digest, s);
+      digest = FoldCost(digest, run->cost);
+      break;
+    }
+  }
+  transport.FinalizeTrace();
+  const net::Transport::Stats& st = transport.stats();
+  EXPECT_GT(st.retries, 0u);
+  EXPECT_GT(st.step_crashes, 0u);
+  EXPECT_GT(st.late_replies, 0u);
+  EXPECT_GT(st.quorum_replacements, 0u);
+  EXPECT_GT(failed_runs, 0);
+  for (uint64_t v :
+       {st.messages_sent, st.messages_dropped, st.messages_delivered,
+        st.late_replies, st.bytes_sent, st.timeouts, st.retries,
+        st.rpc_failures, st.step_crashes, st.quorum_replacements,
+        transport.now_us(), static_cast<uint64_t>(failed_runs)}) {
+    digest = Fold(digest, v);
+  }
+  digest = FoldBytes(digest, obs::ToJsonl(trace.trace()));
+  digest = FoldBytes(digest, metrics.ToJson());
+  EXPECT_EQ(digest, 0x0aac21dc34f51f6cULL) << std::hex << digest;
 }
 
 TEST_F(SelectionGoldenTest, VrandDigestIsPinned) {

@@ -9,11 +9,19 @@
 
 #include "net/tcp_transport.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -24,9 +32,12 @@
 #include "core/messages.h"
 #include "core/protocol_service.h"
 #include "core/selection.h"
+#include "net/frame.h"
+#include "net/sim_network.h"
 #include "node/app_runtime.h"
 #include "node/join.h"
 #include "node/pdms_node.h"
+#include "obs/trace.h"
 #include "sim/network.h"
 #include "util/rng.h"
 
@@ -148,6 +159,158 @@ TEST(TcpTransportTest, EngagementNoncesAreNonzeroAndProcessBranded) {
   EXPECT_NE(a, 0u);
   EXPECT_NE(a, b);
   EXPECT_EQ(a >> 48, 2u);  // process_index + 1 brands the high bits
+}
+
+// Writes one request frame on `fd` and reads back the response frame to
+// it (rpc ids match), failing the test after 5 s of silence.
+std::optional<net::Frame> RawExchange(int fd, uint32_t src, uint32_t dst,
+                                      uint64_t rpc) {
+  net::Frame request;
+  request.type = net::kFrameRequest;
+  request.rpc_id = rpc;
+  request.src = src;
+  request.dst = dst;
+  request.payload = core::msg::Encode(core::msg::AppAck{});
+  const std::vector<uint8_t> bytes = net::EncodeFrame(request);
+  if (::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(bytes.size())) {
+    return std::nullopt;
+  }
+  net::FrameParser parser;
+  uint8_t buf[4096];
+  for (;;) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 5000) <= 0) return std::nullopt;
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) return std::nullopt;
+    std::vector<net::Frame> frames;
+    if (!parser.Feed(buf, static_cast<size_t>(n), &frames).ok()) {
+      return std::nullopt;
+    }
+    for (net::Frame& f : frames) {
+      if (f.rpc_id == rpc) return f;
+    }
+  }
+}
+
+// A peer's frame names its own src and dst. A request for a node this
+// process does not host — out of range, or hosted by another process —
+// must be refused before any handler sees it (handlers index directory
+// columns with dst), and the daemon must keep serving afterwards.
+TEST(TcpTransportTest, MisaddressedRequestFramesAreRefused) {
+  auto cluster = MakeBareCluster(/*processes=*/2, /*nodes=*/4);
+  std::atomic<int> handled{0};
+  for (auto& t : cluster) {
+    t->Register(core::msg::kTagAppAck,
+                [&handled](uint32_t, const std::vector<uint8_t>& request)
+                    -> std::optional<std::vector<uint8_t>> {
+                  handled.fetch_add(1);
+                  return request;
+                });
+  }
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(cluster[0]->listen_port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+
+  struct Case {
+    uint32_t src;
+    uint32_t dst;
+  };
+  // Process 0 hosts nodes 0 and 2 of 4.
+  const Case refused[] = {{1, 99},          // dst out of range
+                          {1, 1},           // dst hosted by process 1
+                          {99, 2},          // src out of range
+                          {1, 0xffffffffu}};
+  uint64_t rpc = 1;
+  for (const Case& c : refused) {
+    std::optional<net::Frame> resp = RawExchange(fd, c.src, c.dst, rpc++);
+    ASSERT_TRUE(resp.has_value()) << c.src << "->" << c.dst;
+    EXPECT_EQ(resp->type, net::kFrameResponse);
+    EXPECT_EQ(resp->status, net::kFrameRefused) << c.src << "->" << c.dst;
+    EXPECT_TRUE(resp->payload.empty());
+  }
+  EXPECT_EQ(handled.load(), 0);
+
+  // The same connection still serves a well-addressed frame...
+  std::optional<net::Frame> good = RawExchange(fd, 1, 2, rpc++);
+  ASSERT_TRUE(good.has_value());
+  EXPECT_EQ(good->status, net::kFrameOk);
+  EXPECT_EQ(handled.load(), 1);
+  ::close(fd);
+
+  // ...and the cluster still answers a regular cross-process call.
+  net::Transport::RpcResult call =
+      cluster[1]->Call(1, 2, core::msg::Encode(core::msg::AppAck{}));
+  EXPECT_TRUE(call.ok);
+  EXPECT_EQ(handled.load(), 2);
+  for (auto& t : cluster) t->Stop();
+  EXPECT_EQ(cluster[1]->stats().rpc_failures, 0u);
+}
+
+// The RPC engine is shared: the same calls against the same refusing
+// server drive the same retry discipline on the simulator and on a
+// 1-process TcpTransport (whose calls short-circuit through local
+// dispatch) — event for event, counter for counter.
+TEST(TcpTransportTest, RetryEngineMatchesSimNetwork) {
+  net::RetryPolicy retry;
+  retry.timeout_us = 50'000;
+  retry.max_attempts = 3;
+  retry.backoff_base_us = 1'000;
+  retry.jitter_fraction = 0.2;
+
+  net::SimNetwork sim(4, net::kIdealLink, retry, /*seed=*/5);
+  net::TcpTransport::Options options;
+  options.node_count = 4;
+  options.retry = retry;
+  net::TcpTransport tcp(options);
+
+  using Rpc = std::tuple<obs::EventKind, uint32_t, uint32_t, uint64_t>;
+  auto drive = [](net::Transport& t) {
+    obs::TraceRecorder trace;
+    t.set_trace(&trace);
+    t.Register(core::msg::kTagAppAck, EchoWithServer());
+    const std::vector<uint8_t> ack = core::msg::Encode(core::msg::AppAck{});
+    const std::vector<uint8_t> garbage = {0xde, 0xad, 0xbe, 0xef, 0x00};
+    EXPECT_TRUE(t.Call(0, 1, ack).ok);
+    net::Transport::RpcResult refused = t.Call(0, 2, garbage);
+    EXPECT_FALSE(refused.ok);
+    EXPECT_EQ(refused.attempts, 3);
+    EXPECT_TRUE(t.Call(3, 2, ack).ok);
+    t.set_trace(nullptr);
+    std::vector<Rpc> events;
+    for (const obs::Event& e : trace.trace().events) {
+      switch (e.kind) {
+        case obs::EventKind::kRpcBegin:
+        case obs::EventKind::kAttempt:
+        case obs::EventKind::kTimeout:
+        case obs::EventKind::kRetry:
+        case obs::EventKind::kRpcEnd:
+        case obs::EventKind::kRpcFail:
+          events.emplace_back(e.kind, e.node, e.peer, e.value);
+          break;
+        default:
+          break;
+      }
+    }
+    return events;
+  };
+  const std::vector<Rpc> sim_events = drive(sim);
+  const std::vector<Rpc> tcp_events = drive(tcp);
+  // Two answered calls (begin, attempt, end) and one refused one (begin,
+  // three attempts and timeouts, two retries, fail).
+  EXPECT_EQ(sim_events.size(), 2u * 3 + (1 + 3 + 3 + 2 + 1));
+  EXPECT_EQ(sim_events, tcp_events);
+  for (const net::Transport* t : {static_cast<net::Transport*>(&sim),
+                                  static_cast<net::Transport*>(&tcp)}) {
+    EXPECT_EQ(t->stats().timeouts, 3u);
+    EXPECT_EQ(t->stats().retries, 2u);
+    EXPECT_EQ(t->stats().rpc_failures, 1u);
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "net/sim_network.h"
 #include "obs/export.h"
 #include "sim/churn_driver.h"
 #include "sim/network.h"
@@ -102,21 +101,11 @@ Row RunOnce(uint64_t n, int threads, uint64_t events) {
   row.nodes_per_s =
       static_cast<double>(n + params.churn_pool) / row.build_s;
 
-  // The SimNetwork exists to give the driver a shared virtual clock and
-  // a crash schedule; with vector inboxes a million endpoints cost tens
-  // of MB, so it scales with the directory.
-  net::LinkModel link;
-  link.jitter_mean_us = 0;
-  link.drop_probability = 0.0;
-  net::SimNetwork simnet(
-      static_cast<uint32_t>(n + params.churn_pool), link,
-      net::RetryPolicy{}, /*seed=*/7);
-
   sim::ChurnDriver::Options churn_options;
   churn_options.join_rate_per_s = 2.0;
   churn_options.leave_rate_per_s = 1.0;
   churn_options.crash_rate_per_s = 1.0;
-  sim::ChurnDriver driver(network.value().get(), &simnet, churn_options);
+  sim::ChurnDriver driver(network.value().get(), nullptr, churn_options);
 
   auto t2 = std::chrono::steady_clock::now();
   driver.Run(events);

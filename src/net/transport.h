@@ -42,8 +42,8 @@
 // its own registered table (core/protocol_service.h holds the resident
 // server-side protocol state) — which is exactly the honest-execution
 // assumption the closures encode. Capability probes (remote_dispatch,
-// NewEngagementNonce, SetVirtualTime, CrashAt) let shared code ask
-// which world it is in without #ifdef forks.
+// NewEngagementNonce, SetVirtualTime) let shared code ask which world
+// it is in without #ifdef forks.
 //
 // Thread-safety: the registry and stats are NOT internally locked; a
 // SimNetwork must stay on one thread. TcpTransport serializes all
@@ -151,18 +151,11 @@ class Transport {
   virtual uint64_t NewEngagementNonce() { return 0; }
 
   // Discrete-event capability: jumps the virtual clock to `at_us`
-  // (used by the throughput engine and churn driver for virtual-
-  // parallel task placement). Wall-clock transports refuse.
+  // (used by the throughput engine for virtual-parallel task
+  // placement). Wall-clock transports refuse.
   virtual bool SetVirtualTime(uint64_t at_us) {
     (void)at_us;
     return false;
-  }
-
-  // Fault-injection capability: schedules `node` to become permanently
-  // unreachable at `at_us`. No-op on transports without injection.
-  virtual void CrashAt(uint32_t node, uint64_t at_us) {
-    (void)node;
-    (void)at_us;
   }
 
   // ---- Clock, stats, obs hooks -------------------------------------

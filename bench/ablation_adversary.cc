@@ -135,7 +135,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "DIGEST MISMATCH across thread counts\n");
   }
 
-  std::string json = "{\n  \"bench\": \"ablation_adversary\",\n  \"rows\": [\n";
+  std::string json = "{\n  \"bench\": \"ablation_adversary\",\n" +
+                     bench::ProvenanceJson(argc, argv) + "  \"rows\": [\n";
   for (size_t i = 0; i < points->size(); ++i) {
     json += RowJson((*points)[i]);
     json += i + 1 < points->size() ? ",\n" : "\n";

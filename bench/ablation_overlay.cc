@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
     core::ProtocolContext ctx = (*network)->context();
     ctx.overlay = &kad;
     strategies::Sep2pStrategy strategy(
-        ctx, strategies::AdversaryConfig::Passive());
+        ctx, strategies::AdversaryConfig::Passive(), (*network)->coalition());
     util::Rng rng(params.seed ^ 0x6ad);
     sim::OnlineStats msg_lat, msg_work, ops, verif, corrupted;
     for (int t = 0; t < trials; ++t) {

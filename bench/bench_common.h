@@ -3,13 +3,19 @@
 #ifndef SEP2P_BENCH_BENCH_COMMON_H_
 #define SEP2P_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cerrno>
+#include <chrono>
 #include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/export.h"
@@ -180,6 +186,87 @@ inline void PrintHeader(const char* figure, const char* claim,
 
 inline std::string Num(double v, int precision = 3) {
   return sim::TablePrinter::Num(v, precision);
+}
+
+#ifndef SEP2P_COMMIT
+#define SEP2P_COMMIT "unknown"
+#endif
+
+// Effective parallelism of this machine right now: the spin-loop
+// iterations `threads` workers complete in a 100 ms window, over the
+// most one worker completes in such a window (alone or beside the
+// others, so a single worker parked on a slow vCPU does not inflate the
+// ratio). Windows alternate (1, N, 1, N, 1, N) and the best of each
+// counts; the whole calibration takes 0.6 s. Parallelism varies
+// between sessions, so a thread-scaling number means little without
+// this next to it.
+inline double SpinCalibration(unsigned threads) {
+  double per_worker = 0;  // best single-worker count seen
+  auto window = [&per_worker](unsigned workers) {
+    std::atomic<bool> stop{false};
+    std::vector<uint64_t> done(workers, 0);
+    std::vector<std::thread> pool;
+    for (unsigned w = 0; w < workers; ++w) {
+      pool.emplace_back([&stop, &done, w] {
+        volatile uint64_t sink = 0;
+        uint64_t count = 0;
+        while (!stop.load(std::memory_order_relaxed)) {
+          for (uint64_t i = 0; i < 10'000; ++i) sink = sink + i;
+          count += 10'000;
+        }
+        done[w] = count;
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    stop = true;
+    double total = 0;
+    for (unsigned w = 0; w < workers; ++w) {
+      pool[w].join();
+      per_worker = std::max(per_worker, static_cast<double>(done[w]));
+      total += static_cast<double>(done[w]);
+    }
+    return total;
+  };
+  double all = 0;
+  for (int round = 0; round < 3; ++round) {
+    window(1);
+    all = std::max(all, window(threads));
+  }
+  return per_worker > 0 ? all / per_worker : 0;
+}
+
+// The "provenance" member every BENCH_*.json writer emits after its
+// "bench" key: the commit the binary was configured from, the CPU
+// model, the hardware thread count, the spin-loop calibration over at
+// most that many threads, the --threads value (0 = one per hardware
+// thread) and the mode. Ends with ",\n", ready for the next member.
+inline std::string ProvenanceJson(int argc, char** argv) {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size()) {
+      cpu = line.substr(colon + 2);
+    }
+    break;
+  }
+  std::string escaped;
+  for (char c : cpu) {
+    if (c == '"' || c == '\\') escaped += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) escaped += c;
+  }
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "  \"provenance\": {\"commit\": \"%s\", \"cpu\": \"%s\", "
+                "\"hardware_concurrency\": %u, "
+                "\"effective_parallelism\": %.2f, \"threads\": %d, "
+                "\"mode\": \"%s\"},\n",
+                SEP2P_COMMIT, escaped.c_str(), hw, SpinCalibration(hw),
+                ThreadsArg(argc, argv),
+                QuickMode(argc, argv) ? "quick" : "full");
+  return buf;
 }
 
 }  // namespace sep2p::bench

@@ -46,10 +46,12 @@ double Seconds(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double>(b - a).count();
 }
 
-// Folds the provisioned directory into a digest: any cross-thread-count
-// difference in build output (ids, positions, aliveness, colluders)
-// lands here before the churn digest could even diverge.
-uint64_t DirectoryDigest(const dht::Directory& dir) {
+// Folds the provisioned directory and its coalition into a digest: any
+// cross-thread-count difference in build output (ids, positions,
+// aliveness, colluders) lands here before the churn digest could even
+// diverge.
+uint64_t DirectoryDigest(const dht::Directory& dir,
+                         const strategies::Coalition& coalition) {
   uint64_t h = 14695981039346656037ULL;
   auto mix = [&h](uint64_t v) {
     h ^= v;
@@ -59,7 +61,7 @@ uint64_t DirectoryDigest(const dht::Directory& dir) {
     mix(static_cast<uint64_t>(dir.pos(i) >> 64));
     mix(static_cast<uint64_t>(dir.pos(i)));
     mix(dir.serial(i));
-    mix((dir.alive(i) ? 1u : 0u) | (dir.colluding(i) ? 2u : 0u));
+    mix((dir.alive(i) ? 1u : 0u) | (coalition.contains(i) ? 2u : 0u));
   }
   return h;
 }
@@ -114,7 +116,9 @@ Row RunOnce(uint64_t n, int threads, uint64_t events) {
   row.events_per_s = static_cast<double>(events) / row.churn_s;
   row.churn = driver.stats();
   row.digest =
-      DirectoryDigest(network.value()->directory()) ^ row.churn.digest;
+      DirectoryDigest(network.value()->directory(),
+                      network.value()->coalition()) ^
+      row.churn.digest;
   row.peak_rss_kb = PeakRssKb();
   return row;
 }
@@ -205,7 +209,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "DIGEST MISMATCH across thread counts\n");
   }
 
-  std::string json = "{\n  \"bench\": \"scale_churn\",\n  \"rows\": [\n";
+  std::string json = "{\n  \"bench\": \"scale_churn\",\n" +
+                     bench::ProvenanceJson(argc, argv) + "  \"rows\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     json += RowJson(rows[i]);
     json += i + 1 < rows.size() ? ",\n" : "\n";

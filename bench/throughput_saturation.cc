@@ -111,8 +111,9 @@ ThroughputEngine::Report RunOnce(const sim::Parameters& params,
 }
 
 std::string Json(const std::vector<Row>& rows, double speedup_at_saturation,
-                 uint64_t knee_gap_us) {
-  std::string out = "{\n  \"bench\": \"throughput_saturation\",\n";
+                 uint64_t knee_gap_us, const std::string& provenance) {
+  std::string out =
+      "{\n  \"bench\": \"throughput_saturation\",\n" + provenance;
   out += "  \"knee_gap_us\": " + std::to_string(knee_gap_us) + ",\n";
   out += "  \"speedup_at_saturation\": " +
          bench::Num(speedup_at_saturation) + ",\n";
@@ -219,7 +220,8 @@ int main(int argc, char** argv) {
   std::printf("wall-clock speedup at saturation (cached/naive): %.2fx %s\n",
               speedup, speedup >= 2.0 ? "(>= 2x: PASS)" : "");
 
-  const std::string json = Json(rows, speedup, knee_gap_us);
+  const std::string json =
+      Json(rows, speedup, knee_gap_us, bench::ProvenanceJson(argc, argv));
   Status st = obs::WriteFile("BENCH_throughput.json", json);
   if (!st.ok()) {
     std::fprintf(stderr, "write failed: %s\n", st.ToString().c_str());

@@ -37,11 +37,11 @@ constexpr int kEquivocateVerifiers = 8;
 // coordination messages: coalition keys in ascending directory order,
 // truncated to `count`.
 std::vector<crypto::PublicKey> CoalitionList(
-    const dht::Directory& dir, const std::vector<uint32_t>& colluders,
+    const dht::Directory& dir, const strategies::Coalition& coalition,
     size_t count) {
   std::vector<crypto::PublicKey> keys;
-  keys.reserve(std::min(count, colluders.size()));
-  for (uint32_t idx : colluders) {
+  keys.reserve(std::min(count, coalition.size()));
+  for (uint32_t idx : coalition.indices()) {
     if (keys.size() == count) break;
     keys.push_back(dir.pub(idx));
   }
@@ -82,6 +82,7 @@ Result<core::SelectionProtocol::Outcome> RunWithRestarts(
 // detection signal — a strike stays detected even if the final list
 // verifies.
 void FinishSelection(const core::ProtocolContext& ctx,
+                     const strategies::Coalition& coalition,
                      const core::SelectionProtocol::Outcome& run,
                      obs::MetricsRegistry* metrics, AttackOutcome& out) {
   out.cost = run.cost;
@@ -97,11 +98,7 @@ void FinishSelection(const core::ProtocolContext& ctx,
   }
   out.accepted = true;
   out.actor_count = static_cast<int>(run.actor_indices.size());
-  int corrupted = 0;
-  for (uint32_t idx : run.actor_indices) {
-    if (ctx.directory->colluding(idx)) ++corrupted;
-  }
-  out.corrupted_actors = corrupted;
+  out.corrupted_actors = coalition.CountIn(run.actor_indices);
 }
 
 // ------------------------------------------------------------- baseline
@@ -120,7 +117,7 @@ class NoneScenario final : public Scenario {
                         &out.restarts);
     if (!run.ok()) return run.status();
     out.attempts = out.restarts + 1;
-    FinishSelection(ctx_, *run, metrics, out);
+    FinishSelection(ctx_, coalition_, *run, metrics, out);
     return out;
   }
 };
@@ -134,11 +131,13 @@ class NoneScenario final : public Scenario {
 // guarantee is exactly that this can only RE-ROLL, never steer.
 class GrindHooks final : public core::AttackHooks {
  public:
-  explicit GrindHooks(const core::ProtocolContext& ctx) : ctx_(ctx) {}
+  GrindHooks(const core::ProtocolContext& ctx,
+             const strategies::Coalition& coalition)
+      : ctx_(ctx), coalition_(coalition) {}
 
   void OnTlQuorum(const std::vector<uint32_t>& tls) override {
     for (uint32_t tl : tls) {
-      if (ctx_.directory->colluding(tl)) {
+      if (coalition_.contains(tl)) {
         opportunity = true;
         return;
       }
@@ -148,12 +147,12 @@ class GrindHooks final : public core::AttackHooks {
   bool TlWithholdsReveal(uint32_t tl,
                          const crypto::Hash256& rnd_t) override {
     if (strikes >= kStrikeBudget) return false;
-    if (!ctx_.directory->colluding(tl)) return false;
+    if (!coalition_.contains(tl)) return false;
     const crypto::Hash256 p =
         crypto::Hash256::Of(rnd_t.bytes().data(), rnd_t.bytes().size());
     std::optional<uint32_t> setter =
         ctx_.directory->SuccessorIndex(p.ring_pos());
-    if (setter.has_value() && ctx_.directory->colluding(*setter)) {
+    if (setter.has_value() && coalition_.contains(*setter)) {
       return false;  // favourable outcome: reveal honestly
     }
     ++strikes;
@@ -161,6 +160,7 @@ class GrindHooks final : public core::AttackHooks {
   }
 
   const core::ProtocolContext& ctx_;
+  const strategies::Coalition& coalition_;
   bool opportunity = false;
   int strikes = 0;
 };
@@ -173,7 +173,7 @@ class CsarGrindScenario final : public Scenario {
   Result<AttackOutcome> Run(uint32_t trigger, util::Rng& rng,
                             obs::TraceRecorder* trace,
                             obs::MetricsRegistry* metrics) override {
-    GrindHooks hooks(ctx_);
+    GrindHooks hooks(ctx_, coalition_);
     AttackOutcome out;
     Result<core::SelectionProtocol::Outcome> run =
         RunWithRestarts(ctx_, trigger, rng, trace, metrics, &hooks,
@@ -186,9 +186,8 @@ class CsarGrindScenario final : public Scenario {
       out.detected = true;
       out.detection_signal = "TL withheld its reveal after committing";
     }
-    FinishSelection(ctx_, *run, metrics, out);
-    out.succeeded =
-        out.accepted && ctx_.directory->colluding(run->setter_index);
+    FinishSelection(ctx_, coalition_, *run, metrics, out);
+    out.succeeded = out.accepted && coalition_.contains(run->setter_index);
     return out;
   }
 };
@@ -199,22 +198,16 @@ class CsarGrindScenario final : public Scenario {
 // CL_j. Perfectly covert — and perfectly futile unless EVERY engaged SL
 // colludes, because the union with one honest candidate list restores
 // the full pool before the RND_S sort.
-class BiasHooks final : public core::AttackHooks {
+class BiasHooks final : public strategies::HideHonestEntries {
  public:
-  explicit BiasHooks(const core::ProtocolContext& ctx) : ctx_(ctx) {}
+  using HideHonestEntries::HideHonestEntries;
 
   void OnSlQuorum(const std::vector<uint32_t>& sls) override {
-    int colluding = 0;
-    for (uint32_t sl : sls) {
-      if (ctx_.directory->colluding(sl)) ++colluding;
-    }
+    const int colluding = coalition_.CountIn(sls);
     opportunity |= colluding > 0;
     all_colluding = colluding == static_cast<int>(sls.size());
   }
 
-  bool SlBiasesCandidates(uint32_t /*sl*/) override { return true; }
-
-  const core::ProtocolContext& ctx_;
   bool opportunity = false;
   bool all_colluding = false;  // of the most recent (= final) quorum
 };
@@ -227,7 +220,7 @@ class SlBiasScenario final : public Scenario {
   Result<AttackOutcome> Run(uint32_t trigger, util::Rng& rng,
                             obs::TraceRecorder* trace,
                             obs::MetricsRegistry* metrics) override {
-    BiasHooks hooks(ctx_);
+    BiasHooks hooks(coalition_);
     AttackOutcome out;
     Result<core::SelectionProtocol::Outcome> run =
         RunWithRestarts(ctx_, trigger, rng, trace, metrics, &hooks,
@@ -235,7 +228,7 @@ class SlBiasScenario final : public Scenario {
     if (!run.ok()) return run.status();
     out.attempted = hooks.opportunity;
     out.attempts = out.restarts + 1;
-    FinishSelection(ctx_, *run, metrics, out);
+    FinishSelection(ctx_, coalition_, *run, metrics, out);
     // Full capture requires an all-colluding quorum (probability bounded
     // by alpha): then the union holds colluders only.
     out.succeeded = out.accepted && hooks.all_colluding &&
@@ -252,19 +245,23 @@ class SlBiasScenario final : public Scenario {
 // par, censoring the distribution upward. Every refusal is a strike.
 class WithholdHooks final : public core::AttackHooks {
  public:
-  WithholdHooks(const core::ProtocolContext& ctx, double colluding_fraction)
-      : ctx_(ctx), colluding_fraction_(colluding_fraction) {}
+  WithholdHooks(const core::ProtocolContext& ctx,
+                const strategies::Coalition& coalition,
+                double colluding_fraction)
+      : ctx_(ctx),
+        coalition_(coalition),
+        colluding_fraction_(colluding_fraction) {}
 
   bool SlWithholdsAttest(
       uint32_t sl, const std::vector<crypto::PublicKey>& actors) override {
-    if (!ctx_.directory->colluding(sl)) return false;
+    if (!coalition_.contains(sl)) return false;
     opportunity = true;
     if (strikes >= kStrikeBudget) return false;
     int corrupted = 0;
     for (const crypto::PublicKey& key : actors) {
       std::optional<uint32_t> idx =
           ctx_.directory->IndexOf(dht::NodeIdForKey(key));
-      if (idx.has_value() && ctx_.directory->colluding(*idx)) ++corrupted;
+      if (idx.has_value() && coalition_.contains(*idx)) ++corrupted;
     }
     const double ideal =
         static_cast<double>(actors.size()) * colluding_fraction_;
@@ -274,6 +271,7 @@ class WithholdHooks final : public core::AttackHooks {
   }
 
   const core::ProtocolContext& ctx_;
+  const strategies::Coalition& coalition_;
   double colluding_fraction_;
   bool opportunity = false;
   int strikes = 0;
@@ -288,9 +286,9 @@ class SlWithholdScenario final : public Scenario {
                             obs::TraceRecorder* trace,
                             obs::MetricsRegistry* metrics) override {
     const double fraction =
-        static_cast<double>(colluders_.size()) /
+        static_cast<double>(coalition_.size()) /
         static_cast<double>(ctx_.directory->alive_count());
-    WithholdHooks hooks(ctx_, fraction);
+    WithholdHooks hooks(ctx_, coalition_, fraction);
     AttackOutcome out;
     Result<core::SelectionProtocol::Outcome> run =
         RunWithRestarts(ctx_, trigger, rng, trace, metrics, &hooks,
@@ -304,7 +302,7 @@ class SlWithholdScenario final : public Scenario {
       out.detection_signal =
           "SL refused to attest the list it helped build";
     }
-    FinishSelection(ctx_, *run, metrics, out);
+    FinishSelection(ctx_, coalition_, *run, metrics, out);
     // Success = the censoring worked: the coalition had its SL in place
     // and the surviving (accepted) list is above the unbiased par.
     const double ideal = static_cast<double>(out.actor_count) * fraction;
@@ -324,12 +322,12 @@ class SlWithholdScenario final : public Scenario {
 class ForgeHooks final : public core::AttackHooks {
  public:
   ForgeHooks(const core::ProtocolContext& ctx,
-             const std::vector<uint32_t>& colluders)
-      : ctx_(ctx), colluders_(colluders) {}
+             const strategies::Coalition& coalition)
+      : ctx_(ctx), coalition_(coalition) {}
 
   void OnSlQuorum(const std::vector<uint32_t>& sls) override {
     for (uint32_t sl : sls) {
-      if (ctx_.directory->colluding(sl)) {
+      if (coalition_.contains(sl)) {
         opportunity = true;
         return;
       }
@@ -339,15 +337,15 @@ class ForgeHooks final : public core::AttackHooks {
   bool SlForgesAttest(
       uint32_t sl, const std::vector<crypto::PublicKey>& actors,
       std::vector<crypto::PublicKey>* forged_actors) override {
-    if (!ctx_.directory->colluding(sl)) return false;
+    if (!coalition_.contains(sl)) return false;
     ++forged;
     *forged_actors =
-        CoalitionList(*ctx_.directory, colluders_, actors.size());
+        CoalitionList(*ctx_.directory, coalition_, actors.size());
     return true;
   }
 
   const core::ProtocolContext& ctx_;
-  const std::vector<uint32_t>& colluders_;
+  const strategies::Coalition& coalition_;
   bool opportunity = false;
   int forged = 0;  // attestations forged in the final attempt
 };
@@ -360,7 +358,7 @@ class SlForgeScenario final : public Scenario {
   Result<AttackOutcome> Run(uint32_t trigger, util::Rng& rng,
                             obs::TraceRecorder* trace,
                             obs::MetricsRegistry* metrics) override {
-    ForgeHooks hooks(ctx_, colluders_);
+    ForgeHooks hooks(ctx_, coalition_);
     AttackOutcome out;
     Result<core::SelectionProtocol::Outcome> run =
         RunWithRestarts(ctx_, trigger, rng, trace, metrics, &hooks,
@@ -373,9 +371,9 @@ class SlForgeScenario final : public Scenario {
     // coalition ships the stuffed list with k matching signatures — the
     // sub-alpha event the k-table sizing is chosen against.
     if (hooks.forged == run->val.k() && hooks.forged > 0 &&
-        ctx_.directory->colluding(run->setter_index)) {
+        coalition_.contains(run->setter_index)) {
       core::VerifiableActorList captured = run->val;
-      captured.actor_keys = CoalitionList(*ctx_.directory, colluders_,
+      captured.actor_keys = CoalitionList(*ctx_.directory, coalition_,
                                           run->val.actor_keys.size());
       out.cost = run->cost;
       out.relocations = run->relocations;
@@ -392,7 +390,7 @@ class SlForgeScenario final : public Scenario {
       // Fall through: even the coordinated VAL failed (e.g. a stuffed
       // key outside every legitimacy assumption) — treat as detected.
     }
-    FinishSelection(ctx_, *run, metrics, out);
+    FinishSelection(ctx_, coalition_, *run, metrics, out);
     if (!out.accepted && hooks.forged > 0 &&
         out.detection_signal.empty()) {
       out.detection_signal = "val: bad SL signature";
@@ -456,8 +454,8 @@ class SybilJoinScenario final : public Scenario {
     if (landed) {
       crypto::Certificate forged;
       forged.subject = ground.pub;
-      if (!colluders_.empty()) {
-        const crypto::Certificate donor = dir.cert(colluders_[0]);
+      if (!coalition_.empty()) {
+        const crypto::Certificate donor = dir.cert(coalition_.indices()[0]);
         forged.serial = donor.serial;
         forged.ca_signature = donor.ca_signature;
       }
@@ -472,8 +470,8 @@ class SybilJoinScenario final : public Scenario {
     // no tolerance in the announce check — so the spoof is rejected
     // unless the colluder's true identity already lies in the target.
     bool spoof_passed = false;
-    if (!colluders_.empty()) {
-      const crypto::Certificate cert = dir.cert(colluders_[0]);
+    if (!coalition_.empty()) {
+      const crypto::Certificate cert = dir.cert(coalition_.indices()[0]);
       out.verification_cost += 1;
       if (metrics != nullptr) metrics->Inc(obs::Counter::kCryptoVerify);
       spoof_passed = target.Contains(cert.NodeIdFromSubject());
@@ -510,14 +508,14 @@ class EclipseScenario final : public Scenario {
     (void)metrics;
     AttackOutcome out;
     const dht::Directory& dir = *ctx_.directory;
-    if (colluders_.empty()) return out;
+    if (coalition_.empty()) return out;
 
     // Victim: the honest successor of a random colluder — the node that
     // would ask that colluder for an attested cache on join.
-    const uint32_t poisoner = colluders_[static_cast<size_t>(
-        rng.NextUint64(colluders_.size()))];
+    const uint32_t poisoner = coalition_.indices()[static_cast<size_t>(
+        rng.NextUint64(coalition_.size()))];
     std::optional<uint32_t> vic = dir.SuccessorIndex(dir.pos(poisoner) + 1);
-    if (!vic.has_value() || *vic == poisoner || dir.colluding(*vic)) {
+    if (!vic.has_value() || *vic == poisoner || coalition_.contains(*vic)) {
       return out;
     }
     const uint32_t victim = *vic;
@@ -537,12 +535,12 @@ class EclipseScenario final : public Scenario {
       forged.owner_cert = dir.cert(poisoner);
       forged.timestamp = ctx_.now;
       forged.rs1 = choice.entry.rs;
-      for (uint32_t idx : colluders_) {
+      for (uint32_t idx : coalition_.indices()) {
         if (idx != poisoner) forged.entries.push_back(dir.pub(idx));
       }
       const std::vector<uint8_t> bytes = forged.SignedBytes();
       int signed_count = 0;
-      for (uint32_t idx : colluders_) {
+      for (uint32_t idx : coalition_.indices()) {
         if (idx == poisoner) continue;
         if (signed_count == k) break;
         Result<crypto::Signature> sig = ctx_.SignAs(idx, bytes);
@@ -594,7 +592,7 @@ class EclipseScenario final : public Scenario {
           break;
         }
       }
-      if (!dir.colluding(idx) && !vouched) {
+      if (!coalition_.contains(idx) && !vouched) {
         ++hidden;  // covertly omitted: nobody can disprove the omission
         continue;
       }
@@ -649,7 +647,7 @@ class EclipseScenario final : public Scenario {
 
     out.accepted = true;
     out.actor_count = static_cast<int>(final_cache.size());
-    out.corrupted_actors = CountCorrupted(final_cache);
+    out.corrupted_actors = coalition_.CountIn(final_cache);
     out.succeeded = out.succeeded || hidden > 0;
     out.strikes = hidden;  // covertly suppressed honest entries
     return out;
@@ -680,16 +678,16 @@ class EquivocateScenario final : public Scenario {
     out.attempts = out.restarts + 1;
 
     const dht::Directory& dir = *ctx_.directory;
-    bool distributor = dir.colluding(run->setter_index);
+    bool distributor = coalition_.contains(run->setter_index);
     for (uint32_t sl : run->sl_indices) {
-      distributor |= dir.colluding(sl);
+      distributor |= coalition_.contains(sl);
     }
-    FinishSelection(ctx_, *run, metrics, out);
+    FinishSelection(ctx_, coalition_, *run, metrics, out);
     if (!distributor || !out.accepted) return out;
 
     out.attempted = true;
     core::VerifiableActorList doctored = run->val;
-    doctored.actor_keys = CoalitionList(dir, colluders_,
+    doctored.actor_keys = CoalitionList(dir, coalition_,
                                         run->val.actor_keys.size());
     int caught = 0;
     for (int v = 0; v < kEquivocateVerifiers; ++v) {
@@ -712,44 +710,30 @@ class EquivocateScenario final : public Scenario {
 
 }  // namespace
 
-int Scenario::CountCorrupted(const std::vector<uint32_t>& actors) const {
-  int corrupted = 0;
-  for (uint32_t idx : actors) {
-    if (ctx_.directory->colluding(idx)) ++corrupted;
-  }
-  return corrupted;
-}
-
-bool Scenario::ColluderKey(const crypto::PublicKey& key) const {
-  std::optional<uint32_t> idx =
-      ctx_.directory->IndexOf(dht::NodeIdForKey(key));
-  return idx.has_value() && ctx_.directory->colluding(*idx);
-}
-
 std::unique_ptr<Scenario> MakeScenario(
     const std::string& name, const core::ProtocolContext& ctx,
-    const std::vector<uint32_t>& colluders) {
-  if (name == "none") return std::make_unique<NoneScenario>(ctx, colluders);
+    const strategies::Coalition& coalition) {
+  if (name == "none") return std::make_unique<NoneScenario>(ctx, coalition);
   if (name == "csar-grind") {
-    return std::make_unique<CsarGrindScenario>(ctx, colluders);
+    return std::make_unique<CsarGrindScenario>(ctx, coalition);
   }
   if (name == "sl-bias") {
-    return std::make_unique<SlBiasScenario>(ctx, colluders);
+    return std::make_unique<SlBiasScenario>(ctx, coalition);
   }
   if (name == "sl-withhold") {
-    return std::make_unique<SlWithholdScenario>(ctx, colluders);
+    return std::make_unique<SlWithholdScenario>(ctx, coalition);
   }
   if (name == "sl-forge") {
-    return std::make_unique<SlForgeScenario>(ctx, colluders);
+    return std::make_unique<SlForgeScenario>(ctx, coalition);
   }
   if (name == "sybil-join") {
-    return std::make_unique<SybilJoinScenario>(ctx, colluders);
+    return std::make_unique<SybilJoinScenario>(ctx, coalition);
   }
   if (name == "eclipse") {
-    return std::make_unique<EclipseScenario>(ctx, colluders);
+    return std::make_unique<EclipseScenario>(ctx, coalition);
   }
   if (name == "equivocate") {
-    return std::make_unique<EquivocateScenario>(ctx, colluders);
+    return std::make_unique<EquivocateScenario>(ctx, coalition);
   }
   return nullptr;
 }

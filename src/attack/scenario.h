@@ -23,9 +23,9 @@
 // security-effectiveness bound.
 //
 // Determinism: scenarios draw exclusively from the per-trial RNG stream
-// they are handed and read epoch-frozen shared state (directory +
-// colluder set), so attacked sweeps are bit-identical for any
-// --threads value (sim/trial_runner.h contract).
+// they are handed and read immutable shared state (the directory and
+// the epoch's strategies::Coalition), so attacked sweeps are
+// bit-identical for any --threads value (sim/trial_runner.h contract).
 
 #ifndef SEP2P_ATTACK_SCENARIO_H_
 #define SEP2P_ATTACK_SCENARIO_H_
@@ -38,6 +38,7 @@
 #include "net/cost.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "strategies/adversary.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -62,13 +63,12 @@ struct AttackOutcome {
 
 class Scenario {
  public:
-  // `colluders` is the ascending directory-index view of the coalition
-  // (sim::Network::colluder_indices(), sampled by
-  // strategies::SampleColluders); it is frozen for the scenario's
-  // lifetime (one trial, inside one reassignment epoch).
+  // `coalition` is the trial's epoch coalition (drawn by
+  // strategies::SampleColluders); like `ctx`, it must outlive the
+  // scenario. It is the only place a scenario learns who colludes.
   Scenario(const core::ProtocolContext& ctx,
-           const std::vector<uint32_t>& colluders)
-      : ctx_(ctx), colluders_(colluders) {}
+           const strategies::Coalition& coalition)
+      : ctx_(ctx), coalition_(coalition) {}
   virtual ~Scenario() = default;
 
   virtual const char* name() const = 0;
@@ -82,11 +82,8 @@ class Scenario {
                                     obs::MetricsRegistry* metrics) = 0;
 
  protected:
-  int CountCorrupted(const std::vector<uint32_t>& actors) const;
-  bool ColluderKey(const crypto::PublicKey& key) const;
-
   const core::ProtocolContext& ctx_;
-  const std::vector<uint32_t>& colluders_;
+  const strategies::Coalition& coalition_;
 };
 
 // Scenario registry. "none" is the honest baseline every cost-overhead
@@ -109,7 +106,7 @@ class Scenario {
 //                 some verifiers and genuine ones to the rest.
 std::unique_ptr<Scenario> MakeScenario(
     const std::string& name, const core::ProtocolContext& ctx,
-    const std::vector<uint32_t>& colluders);
+    const strategies::Coalition& coalition);
 
 // All registry names, baseline first — the order the ablation table
 // prints and the CI smoke iterates.

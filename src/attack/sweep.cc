@@ -36,20 +36,25 @@ Result<std::vector<AdversaryPoint>> RunAdversarySweep(
     const sim::Parameters& base,
     const std::vector<std::string>& scenario_names, int trials,
     const sim::SweepObservers* observers) {
-  std::vector<AdversaryPoint> points;
-  sim::TrialRunner runner(base.threads);
-
-  sim::Parameters params = base;
-  Result<std::unique_ptr<sim::Network>> network = sim::Network::Build(params);
+  Result<std::unique_ptr<sim::Network>> network = sim::Network::Build(base);
   if (!network.ok()) return network.status();
-  sim::Network& net = *network.value();
+  return RunAdversarySweep(*network.value(), scenario_names, trials,
+                           observers);
+}
+
+Result<std::vector<AdversaryPoint>> RunAdversarySweep(
+    sim::Network& net, const std::vector<std::string>& scenario_names,
+    int trials, const sim::SweepObservers* observers) {
+  const sim::Parameters& params = net.params();
+  std::vector<AdversaryPoint> points;
+  sim::TrialRunner runner(params.threads);
   const double c_fraction = static_cast<double>(params.c()) /
                             static_cast<double>(params.n);
 
   for (size_t si = 0; si < scenario_names.size(); ++si) {
     const std::string& name = scenario_names[si];
     core::ProtocolContext ctx = net.context();
-    if (MakeScenario(name, ctx, net.ColluderIndices()) == nullptr) {
+    if (MakeScenario(name, ctx, net.coalition()) == nullptr) {
       return Status::InvalidArgument("unknown attack scenario: " + name);
     }
 
@@ -75,22 +80,15 @@ Result<std::vector<AdversaryPoint>> RunAdversarySweep(
     std::vector<TrialResult> slots(static_cast<size_t>(trials));
     const uint64_t trial_seed =
         sim::MixSeed(params.seed, kAdversaryTrialSalt, 0, si);
-    const uint64_t colluder_seed =
-        sim::MixSeed(params.seed, kAdversaryColluderSalt, 0, si);
+    // A fresh coalition every epoch; trial t reads the one of its shard.
+    const std::vector<strategies::Coalition> coalitions = sim::DrawCoalitions(
+        net, trials,
+        sim::MixSeed(params.seed, kAdversaryColluderSalt, 0, si));
 
-    // Colluder placement refreshes every epoch at a barrier (the shared
-    // Directory mutates only there); within an epoch the coalition is
-    // frozen.
     Status status = runner.RunPoint(
-        si, trials, trial_seed, observers,
-        [&](int epoch) {
-          util::Rng colluder_rng(
-              sim::StreamSeed(colluder_seed, static_cast<uint64_t>(epoch)));
-          net.ReassignColluders(colluder_rng);
-        },
-        [&](const sim::Trial& trial) {
-          std::unique_ptr<Scenario> scenario =
-              MakeScenario(name, ctx, net.ColluderIndices());
+        si, trials, trial_seed, observers, [&](const sim::Trial& trial) {
+          std::unique_ptr<Scenario> scenario = MakeScenario(
+              name, ctx, coalitions[static_cast<size_t>(trial.shard)]);
 
           // Every trial records into a trace so the oracle can replay
           // the checker invariants; the observers' slot (when this

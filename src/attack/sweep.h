@@ -9,12 +9,13 @@
 //
 // Each scenario is one sweep point of sim::TrialRunner::RunPoint, which
 // supplies the determinism rules: per-trial SplitMix64 streams from a
-// sweep-private salt family and colluder reassignment at kShardSize
-// epoch barriers, here through the SAME strategies::SampleColluders
-// rule the closed-form model uses. Slot-per-trial results fold in trial
-// order into a per-point FNV-1a digest over every trial's outcome
-// fields — bit-identical for any --threads value, which
-// bench/ablation_adversary audits.
+// sweep-private salt family, and a fresh coalition per kShardSize-trial
+// epoch (sim::DrawCoalitions, through the SAME
+// strategies::SampleColluders rule the closed-form model uses), drawn
+// before the point runs so its epochs run as parallel shards.
+// Slot-per-trial results fold in trial order into a per-point FNV-1a
+// digest over every trial's outcome fields — bit-identical for any
+// --threads value, which bench/ablation_adversary audits.
 
 #ifndef SEP2P_ATTACK_SWEEP_H_
 #define SEP2P_ATTACK_SWEEP_H_
@@ -23,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/network.h"
 #include "sim/parameters.h"
 #include "sim/trial_runner.h"
 #include "util/status.h"
@@ -73,6 +75,13 @@ Result<std::vector<AdversaryPoint>> RunAdversarySweep(
     const sim::Parameters& base,
     const std::vector<std::string>& scenario_names, int trials,
     const sim::SweepObservers* observers = nullptr);
+
+// The same sweep on an already built network. Every trial reads its
+// epoch's coalition, so `net` (its coalition() included) is left as it
+// was found.
+Result<std::vector<AdversaryPoint>> RunAdversarySweep(
+    sim::Network& net, const std::vector<std::string>& scenario_names,
+    int trials, const sim::SweepObservers* observers = nullptr);
 
 }  // namespace sep2p::attack
 

@@ -16,8 +16,8 @@
 //     reveal — that TL's reveal handler refuses, the RPC fails. It can
 //     force a re-roll but never steer the value (the honest
 //     participant's contribution keeps the XOR uniform).
-//   * SlBiasesCandidates — the SL reports only colluding entries in its
-//     candidate list CL_j (the covert cache-hiding deviation of §3.5).
+//   * SlHidesCandidate — the SL leaves an entry out of its candidate
+//     list CL_j (the covert cache-hiding deviation of §3.5).
 //   * SlWithholdsAttest — the SL sees the actor list it is about to
 //     attest (it computed the list itself in step 8) and its
 //     attestation handler refuses to sign: a selective abort that
@@ -71,11 +71,16 @@ class AttackHooks {
   // commitments arrive).
   virtual void OnSlQuorum(const std::vector<uint32_t>& /*sls*/) {}
 
-  // Consulted once per engaged SL when its candidate list is built.
-  // True = a colluding SL `sl_index` reports only colluding entries in
-  // its candidate list (covert: the union with one honest CL restores
-  // the full pool, so nothing observable changes).
-  virtual bool SlBiasesCandidates(uint32_t /*sl_index*/) { return false; }
+  // Consulted per covered entry when an engaged SL builds its candidate
+  // list. True = SL `sl_index` leaves `candidate` out of CL_j; a
+  // colluding SL hiding every honest entry is the covert deviation of
+  // §3.5 (the union with one honest CL restores the full pool, so
+  // nothing observable changes). Core code never knows who colludes:
+  // the hook's implementation holds the coalition.
+  virtual bool SlHidesCandidate(uint32_t /*sl_index*/,
+                                uint32_t /*candidate*/) {
+    return false;
+  }
 
   // Consulted per SL, in member order, before the attestation round (the
   // SL legitimately knows `actors`: it computed the identical list in

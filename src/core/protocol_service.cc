@@ -52,16 +52,15 @@ SlState BuildSlState(const ProtocolContext& ctx, uint32_t sl_index,
   const dht::Directory& dir = *ctx.directory;
   SlState state;
   dht::Region coverage = dht::Region::Centered(dir.pos(sl_index), ctx.rs3);
-  const bool hide = attack != nullptr &&
-                    attack->SlBiasesCandidates(sl_index) &&
-                    dir.colluding(sl_index);
   // Candidate lists top out at the R3 scan size; reserving up front
   // keeps the per-SL loop free of regrowth copies.
   state.cl_indices.reserve(r3_nodes.size());
   state.cl_keys.reserve(r3_nodes.size());
   for (uint32_t idx : r3_nodes) {
     if (!coverage.Contains(dir.pos(idx))) continue;
-    if (hide && !dir.colluding(idx)) continue;  // covert deviation
+    if (attack != nullptr && attack->SlHidesCandidate(sl_index, idx)) {
+      continue;  // covert deviation
+    }
     state.cl_indices.push_back(idx);
     state.cl_keys.push_back(dir.pub(idx));
   }

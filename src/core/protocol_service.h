@@ -69,9 +69,8 @@ struct SlState {
 
 // Builds an SL's engagement state: intersect `r3_nodes` with the SL's
 // cache coverage, draw RND_j from `rng`, and commit to (RND_j, CL_j).
-// A colluding SL for which `attack` (may be null) answers
-// SlBiasesCandidates reports only colluding entries — the covert
-// cache-hiding deviation of §3.5.
+// Entries for which `attack` (may be null) answers SlHidesCandidate are
+// left out — the covert cache-hiding deviation of §3.5.
 SlState BuildSlState(const ProtocolContext& ctx, uint32_t sl_index,
                      const std::vector<uint32_t>& r3_nodes,
                      AttackHooks* attack, util::Rng& rng);

@@ -29,7 +29,9 @@
 //
 // The Directory is *simulator state*, not something a real node would
 // hold — real nodes see only their node cache (node/node_cache.h) and
-// the DHT routing tables (dht/chord.h).
+// the DHT routing tables (dht/chord.h). It records membership only:
+// which nodes collude is per-epoch simulation truth
+// (strategies::Coalition), never a directory column.
 
 #ifndef SEP2P_DHT_DIRECTORY_H_
 #define SEP2P_DHT_DIRECTORY_H_
@@ -51,7 +53,6 @@ struct NodeRecord {
   crypto::PublicKey pub{};
   crypto::PrivateKey priv;  // simulator convenience: nodes sign locally
   crypto::Certificate cert;
-  bool colluding = false;
   bool alive = true;
 };
 
@@ -73,9 +74,6 @@ class Directory {
   bool alive(uint32_t index) const {
     return (flags_[index] & kAliveBit) != 0;
   }
-  bool colluding(uint32_t index) const {
-    return (flags_[index] & kColludingBit) != 0;
-  }
   bool crashed(uint32_t index) const {
     return (flags_[index] & kCrashedBit) != 0;
   }
@@ -92,7 +90,6 @@ class Directory {
   crypto::PrivateKey priv(uint32_t index) const;
   crypto::Certificate cert(uint32_t index) const;
 
-  void SetColluding(uint32_t index, bool colluding);
   // Records the CA signature for a node provisioned without one (churn
   // pool issuance at join time). The signature length must match the
   // directory's uniform signature stride.
@@ -159,9 +156,8 @@ class Directory {
 
  private:
   static constexpr uint8_t kAliveBit = 1;
-  static constexpr uint8_t kColludingBit = 2;
-  static constexpr uint8_t kCrashedBit = 4;
-  static constexpr uint8_t kCertBit = 8;
+  static constexpr uint8_t kCrashedBit = 2;
+  static constexpr uint8_t kCertBit = 4;
 
   // First ring rank with position >= `pos` (possibly size()).
   size_t RankLowerBound(RingPos pos) const;

@@ -137,7 +137,8 @@ Result<JoinProtocol::Outcome> JoinProtocol::Join(uint32_t newcomer_index,
   std::sort(outcome.cache.begin(), outcome.cache.end());
 
   // Announce to the nodes whose caches must now include the newcomer;
-  // each checks the newcomer's certificate before insertion.
+  // each checks the newcomer's certificate before insertion. Modelled
+  // only: charged to the cost, never sent (see Outcome::cost).
   const size_t covering = dir.CountInRegion(coverage);
   outcome.cost.Then(net::Cost::ParIdentical(net::Cost::Step(1, 1),
                                             covering));

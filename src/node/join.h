@@ -59,6 +59,12 @@ class JoinProtocol {
 
   struct Outcome {
     std::vector<uint32_t> cache;  // validated cache for the newcomer
+    // The paper's cost model of the join, NOT measured traffic: the
+    // attestation and verification steps that run, plus a MODELLED
+    // announce step — one message and one certificate check for each
+    // of the ~cache_size nodes covering the newcomer — that no code
+    // sends or performs (ROADMAP item 6(b)). The transport's Stats
+    // count the messages actually sent.
     net::Cost cost;
     uint32_t successor = 0;
     uint32_t predecessor = 0;

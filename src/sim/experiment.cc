@@ -47,9 +47,10 @@ bool EndsShard(const Trial& trial, int trials) {
 // that the trial's shard shares.
 Result<strategies::StrategyOutcome> RunShardSelection(
     std::optional<strategies::Sep2pStrategy>& strategy,
-    const core::ProtocolContext& ctx, const Trial& trial, int trials) {
+    const core::ProtocolContext& ctx, const strategies::Coalition& coalition,
+    const Trial& trial, int trials) {
   if (!strategy) {
-    strategy.emplace(ctx, strategies::AdversaryConfig::Passive());
+    strategy.emplace(ctx, strategies::AdversaryConfig::Passive(), coalition);
   }
   strategy->set_observers(trial.rec, trial.met);
   const uint32_t trigger = static_cast<uint32_t>(
@@ -94,106 +95,111 @@ Result<std::vector<StrategyPoint>> RunStrategyComparison(
     const std::vector<std::string>& strategy_names, int trials,
     const SweepObservers* observers) {
   std::vector<StrategyPoint> points;
-  TrialRunner runner(base.threads);
-
   for (size_t ci = 0; ci < c_fractions.size(); ++ci) {
     Parameters params = base;
     params.colluding_fraction = c_fractions[ci];
     Result<std::unique_ptr<Network>> network = Network::Build(params);
     if (!network.ok()) return network.status();
-    Network& net = *network.value();
+    Result<std::vector<StrategyPoint>> rows = RunStrategyComparison(
+        *network.value(), strategy_names, trials, observers, ci);
+    if (!rows.ok()) return rows.status();
+    points.insert(points.end(), rows->begin(), rows->end());
+  }
+  return points;
+}
 
-    for (size_t si = 0; si < strategy_names.size(); ++si) {
-      const std::string& name = strategy_names[si];
-      core::ProtocolContext ctx = net.context();
-      strategies::AdversaryConfig adversary;  // full covert adversary
-      if (strategies::MakeStrategy(name, ctx, adversary) == nullptr) {
-        return Status::InvalidArgument("unknown strategy: " + name);
-      }
-
-      // One slot per trial: each trial writes only its own slot, and the
-      // slots are folded in trial order afterwards, so the point is
-      // bit-identical for any thread count.
-      struct TrialResult {
-        double corrupted = 0;
-        double verification = 0;
-        double crypto_lat = 0;
-        double crypto_work = 0;
-        double msg_lat = 0;
-        double msg_work = 0;
-        double relocations = 0;
-      };
-      std::vector<TrialResult> slots(trials);
-      const uint64_t trial_seed =
-          MixSeed(params.seed, kStrategyTrialSalt, ci, si);
-      const uint64_t colluder_seed =
-          MixSeed(params.seed, kStrategyColluderSalt, ci, si);
-      const size_t point_index = ci * strategy_names.size() + si;
-
-      // Fresh colluder placement every epoch decorrelates the "is a
-      // colluder near hash(RND_T)" events. Reassignment mutates the
-      // shared Directory, so it happens at epoch barriers; within an
-      // epoch the assignment is frozen.
-      Status status = runner.RunPoint(
-          point_index, trials, trial_seed, observers,
-          [&](int epoch) {
-            util::Rng colluder_rng(
-                StreamSeed(colluder_seed, static_cast<uint64_t>(epoch)));
-            net.ReassignColluders(colluder_rng);
-          },
-          [&](const Trial& trial) {
-            std::unique_ptr<strategies::Strategy> strategy =
-                strategies::MakeStrategy(name, ctx, adversary);
-            strategy->set_observers(trial.rec, trial.met);
-            uint32_t trigger = static_cast<uint32_t>(
-                trial.rng.NextUint64(net.directory().size()));
-            Result<strategies::StrategyOutcome> run =
-                strategy->Run(trigger, trial.rng);
-            if (!run.ok()) return run.status();
-            TrialResult& slot = slots[trial.t];
-            slot.corrupted = run->corrupted_actors;
-            slot.verification = run->verification_cost;
-            slot.crypto_lat = run->setup_cost.crypto_latency;
-            slot.crypto_work = run->setup_cost.crypto_work;
-            slot.msg_lat = run->setup_cost.msg_latency;
-            slot.msg_work = run->setup_cost.msg_work;
-            slot.relocations = run->relocations;
-            return Status::Ok();
-          });
-      if (!status.ok()) return status;
-
-      OnlineStats corrupted, verification, crypto_lat, crypto_work, msg_lat,
-          msg_work, relocations;
-      for (const TrialResult& slot : slots) {
-        corrupted.Add(slot.corrupted);
-        verification.Add(slot.verification);
-        crypto_lat.Add(slot.crypto_lat);
-        crypto_work.Add(slot.crypto_work);
-        msg_lat.Add(slot.msg_lat);
-        msg_work.Add(slot.msg_work);
-        relocations.Add(slot.relocations);
-      }
-
-      StrategyPoint point;
-      point.strategy = name;
-      point.c_fraction = c_fractions[ci];
-      point.trials = trials;
-      point.verification_cost = verification.mean();
-      point.ideal_corrupted = static_cast<double>(params.actor_count) *
-                              static_cast<double>(params.c()) /
-                              static_cast<double>(params.n);
-      point.avg_corrupted = corrupted.mean();
-      point.effectiveness =
-          point.avg_corrupted <= point.ideal_corrupted
-              ? 1.0
-              : point.ideal_corrupted / point.avg_corrupted;
-      point.setup_crypto_latency = crypto_lat.mean();
-      point.setup_crypto_work = crypto_work.mean();
-      point.setup_msg_latency = msg_lat.mean();
-      point.setup_msg_work = msg_work.mean();
-      point.relocation_rate = relocations.mean();
-      points.push_back(point);
+Result<std::vector<StrategyPoint>> RunStrategyComparison(
+    Network& net, const std::vector<std::string>& strategy_names, int trials,
+    const SweepObservers* observers, size_t c_index) {
+  const Parameters& params = net.params();
+  std::vector<StrategyPoint> points;
+  TrialRunner runner(params.threads);
+  for (size_t si = 0; si < strategy_names.size(); ++si) {
+    const std::string& name = strategy_names[si];
+    core::ProtocolContext ctx = net.context();
+    strategies::AdversaryConfig adversary;  // full covert adversary
+    if (strategies::MakeStrategy(name, ctx, adversary, net.coalition()) ==
+        nullptr) {
+      return Status::InvalidArgument("unknown strategy: " + name);
     }
+
+    // One slot per trial: each trial writes only its own slot, and the
+    // slots are folded in trial order afterwards, so the point is
+    // bit-identical for any thread count.
+    struct TrialResult {
+      double corrupted = 0;
+      double verification = 0;
+      double crypto_lat = 0;
+      double crypto_work = 0;
+      double msg_lat = 0;
+      double msg_work = 0;
+      double relocations = 0;
+    };
+    std::vector<TrialResult> slots(trials);
+    const uint64_t trial_seed =
+        MixSeed(params.seed, kStrategyTrialSalt, c_index, si);
+    const size_t point_index = c_index * strategy_names.size() + si;
+    // A fresh coalition every epoch decorrelates the "is a colluder
+    // near hash(RND_T)" events; trial t reads the one of its shard.
+    const std::vector<strategies::Coalition> coalitions = DrawCoalitions(
+        net, trials, MixSeed(params.seed, kStrategyColluderSalt, c_index, si));
+
+    Status status = runner.RunPoint(
+        point_index, trials, trial_seed, observers,
+        [&](const Trial& trial) {
+          std::unique_ptr<strategies::Strategy> strategy =
+              strategies::MakeStrategy(
+                  name, ctx, adversary,
+                  coalitions[static_cast<size_t>(trial.shard)]);
+          strategy->set_observers(trial.rec, trial.met);
+          uint32_t trigger = static_cast<uint32_t>(
+              trial.rng.NextUint64(net.directory().size()));
+          Result<strategies::StrategyOutcome> run =
+              strategy->Run(trigger, trial.rng);
+          if (!run.ok()) return run.status();
+          TrialResult& slot = slots[trial.t];
+          slot.corrupted = run->corrupted_actors;
+          slot.verification = run->verification_cost;
+          slot.crypto_lat = run->setup_cost.crypto_latency;
+          slot.crypto_work = run->setup_cost.crypto_work;
+          slot.msg_lat = run->setup_cost.msg_latency;
+          slot.msg_work = run->setup_cost.msg_work;
+          slot.relocations = run->relocations;
+          return Status::Ok();
+        });
+    if (!status.ok()) return status;
+
+    OnlineStats corrupted, verification, crypto_lat, crypto_work, msg_lat,
+        msg_work, relocations;
+    for (const TrialResult& slot : slots) {
+      corrupted.Add(slot.corrupted);
+      verification.Add(slot.verification);
+      crypto_lat.Add(slot.crypto_lat);
+      crypto_work.Add(slot.crypto_work);
+      msg_lat.Add(slot.msg_lat);
+      msg_work.Add(slot.msg_work);
+      relocations.Add(slot.relocations);
+    }
+
+    StrategyPoint point;
+    point.strategy = name;
+    point.c_fraction = params.colluding_fraction;
+    point.trials = trials;
+    point.verification_cost = verification.mean();
+    point.ideal_corrupted = static_cast<double>(params.actor_count) *
+                            static_cast<double>(params.c()) /
+                            static_cast<double>(params.n);
+    point.avg_corrupted = corrupted.mean();
+    point.effectiveness =
+        point.avg_corrupted <= point.ideal_corrupted
+            ? 1.0
+            : point.ideal_corrupted / point.avg_corrupted;
+    point.setup_crypto_latency = crypto_lat.mean();
+    point.setup_crypto_work = crypto_work.mean();
+    point.setup_msg_latency = msg_lat.mean();
+    point.setup_msg_work = msg_work.mean();
+    point.relocation_rate = relocations.mean();
+    points.push_back(point);
   }
   return points;
 }
@@ -280,10 +286,10 @@ Result<std::vector<CachePoint>> RunCacheSweep(
     };
     std::vector<Shard> shards(TrialRunner::ShardCount(trials));
     Status status = runner.RunPoint(
-        pi, trials, trial_seed, observers, {}, [&](const Trial& trial) {
+        pi, trials, trial_seed, observers, [&](const Trial& trial) {
           Shard& sh = shards[trial.shard];
-          Result<strategies::StrategyOutcome> run =
-              RunShardSelection(sh.strategy, ctx, trial, trials);
+          Result<strategies::StrategyOutcome> run = RunShardSelection(
+              sh.strategy, ctx, net.coalition(), trial, trials);
           if (!run.ok()) {
             // A cache smaller than A can make the selection impossible;
             // that is a data point (the paper's "sparse regions cannot
@@ -358,10 +364,10 @@ Result<std::vector<ActorsPoint>> RunActorSweep(
     };
     std::vector<Shard> shards(TrialRunner::ShardCount(trials));
     Status status = runner.RunPoint(
-        pi, trials, trial_seed, observers, {}, [&](const Trial& trial) {
+        pi, trials, trial_seed, observers, [&](const Trial& trial) {
           Shard& sh = shards[trial.shard];
-          Result<strategies::StrategyOutcome> run =
-              RunShardSelection(sh.strategy, ctx, trial, trials);
+          Result<strategies::StrategyOutcome> run = RunShardSelection(
+              sh.strategy, ctx, net.coalition(), trial, trials);
           if (!run.ok()) return run.status();
           sh.crypto_work.Add(run->setup_cost.crypto_work);
           sh.msg_work.Add(run->setup_cost.msg_work);
@@ -424,7 +430,7 @@ Result<ExhaustiveStats> RunExhaustiveSetters(
   TrialRunner runner(base.threads);
   std::vector<Shard> shards(TrialRunner::ShardCount(trials));
   Status status = runner.RunPoint(
-      0, trials, trial_seed, observers, {}, [&](const Trial& trial) {
+      0, trials, trial_seed, observers, [&](const Trial& trial) {
         Shard& sh = shards[trial.shard];
         if (!sh.network) {
           sh.network.emplace(node_count, net::kIdealLink,
@@ -501,7 +507,6 @@ Result<std::vector<MessageFailurePoint>> RunMessageFailureSweep(
   for (size_t pi = 0; pi < settings.size(); ++pi) {
     const MessageFailureSetting& setting = settings[pi];
     core::ProtocolContext ctx = net.context();
-    core::SelectionProtocol protocol(ctx);
     const uint64_t trial_seed = MixSeed(base.seed, kMessageTrialSalt, pi);
     const uint64_t net_seed = MixSeed(base.seed, kMessageNetSalt, pi);
 
@@ -518,32 +523,26 @@ Result<std::vector<MessageFailurePoint>> RunMessageFailureSweep(
     };
     std::vector<Shard> shards(TrialRunner::ShardCount(trials));
     Status status = runner.RunPoint(
-        pi, trials, trial_seed, observers, {}, [&](const Trial& trial) {
+        pi, trials, trial_seed, observers, [&](const Trial& trial) {
           Shard& sh = shards[trial.shard];
           std::unique_ptr<net::SimNetwork> simnet =
               FaultyNetwork(node_count, setting, net_seed, trial);
           uint32_t trigger =
               static_cast<uint32_t>(trial.rng.NextUint64(node_count));
-          int attempt = 1;
-          for (; attempt <= kMaxSelectionAttempts; ++attempt) {
-            Result<core::SelectionProtocol::Outcome> run =
-                protocol.Run(trigger, trial.rng, *simnet);
-            if (run.ok()) break;
+          node::AppRuntime runtime(simnet.get());
+          int restarts = 0;
+          Result<core::SelectionProtocol::Outcome> run = runtime.RunSelection(
+              ctx, trigger, trial.rng, kMaxSelectionAttempts, &restarts);
+          FinishFaultyTrial(*simnet, trial);
+          if (!run.ok()) {
             if (run.status().code() != StatusCode::kUnavailable) {
               return run.status();
             }
-          }
-          FinishFaultyTrial(*simnet, trial);
-          if (attempt > kMaxSelectionAttempts) {
             ++sh.gave_up;
             return Status::Ok();
           }
-          if (attempt == 1) ++sh.first_try;
-          if (trial.met != nullptr && attempt > 1) {
-            trial.met->Inc(obs::Counter::kRestarts,
-                           static_cast<uint64_t>(attempt - 1));
-          }
-          sh.restarts.Add(attempt - 1);
+          if (restarts == 0) ++sh.first_try;
+          sh.restarts.Add(restarts);
           sh.retries.Add(static_cast<double>(simnet->stats().retries));
           sh.replacements.Add(
               static_cast<double>(simnet->stats().quorum_replacements));
@@ -615,7 +614,7 @@ Result<std::vector<AppFailurePoint>> RunAppFailureSweep(
     };
     std::vector<Shard> shards(TrialRunner::ShardCount(trials));
     Status status = runner.RunPoint(
-        pi, trials, trial_seed, observers, {}, [&](const Trial& trial) {
+        pi, trials, trial_seed, observers, [&](const Trial& trial) {
           Shard& sh = shards[trial.shard];
           std::unique_ptr<net::SimNetwork> simnet =
               FaultyNetwork(node_count, setting, net_seed, trial);
@@ -713,16 +712,19 @@ Result<AlphaPoint> ProbeAlpha(const Parameters& base, double alpha,
   point.rs = entry.rs;
   point.networks_tested = network_count;
 
-  // Colluder reassignment mutates the shared Directory, so the
-  // assignments are generated serially (barrier per round) and only the
-  // sorted colluder positions are snapshotted; the O(C^2)-ish
-  // concentration scans then run in parallel over the snapshots.
+  // Round 0 probes the build-time coalition, every later round a fresh
+  // one. The draws share one stream, so they run serially and keep only
+  // the sorted colluder positions; the O(C^2)-ish concentration scans
+  // then run in parallel over them.
   std::vector<std::vector<dht::RingPos>> rounds(
       std::max(0, network_count));
   for (int round = 0; round < network_count; ++round) {
-    if (round > 0) net.ReassignColluders(rng);
+    const strategies::Coalition coalition =
+        round == 0 ? net.coalition()
+                   : strategies::SampleColluders(net.directory(),
+                                                 params.c(), rng);
     std::vector<dht::RingPos>& colluders = rounds[round];
-    for (uint32_t idx : net.ColluderIndices()) {
+    for (uint32_t idx : coalition.indices()) {
       colluders.push_back(net.directory().pos(idx));
     }
     std::sort(colluders.begin(), colluders.end());

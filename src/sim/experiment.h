@@ -42,6 +42,15 @@ Result<std::vector<StrategyPoint>> RunStrategyComparison(
     const std::vector<std::string>& strategy_names, int trials,
     const SweepObservers* observers = nullptr);
 
+// The rows of one C% on an already built network: each strategy's
+// trials read per-epoch coalitions drawn from their own streams and
+// leave `net` (its coalition() included) as they found it. `c_index`
+// is the C% index the seed families and observer point numbers use, as
+// the overload above numbers them.
+Result<std::vector<StrategyPoint>> RunStrategyComparison(
+    Network& net, const std::vector<std::string>& strategy_names, int trials,
+    const SweepObservers* observers = nullptr, size_t c_index = 0);
+
 // ------------------------------------------------------------------ Fig 6
 // Average security degree k for a network configuration, where each node
 // picks the cheapest usable k-table entry. Evaluated by sampling node

@@ -106,9 +106,10 @@ Result<std::unique_ptr<Network>> Network::Build(const Parameters& params) {
   network->chord_ =
       std::make_unique<dht::ChordOverlay>(network->directory_.get());
 
-  // Mark C colluders uniformly at random (their DHT spread is uniform by
-  // the imposed-location construction regardless of which are marked).
-  network->ReassignColluders(network->rng_);
+  // Draw C colluders uniformly at random (their DHT spread is uniform by
+  // the imposed-location construction regardless of which are drawn).
+  network->coalition_ = strategies::SampleColluders(
+      *network->directory_, params.c(), network->rng_);
 
   network->ktable_.emplace(
       core::KTable::Build(params.n, params.c(), params.alpha));
@@ -144,25 +145,22 @@ core::ProtocolContext Network::context() {
   return ctx;
 }
 
-void Network::ReassignColluders(util::Rng& rng) {
-  for (uint32_t idx : colluder_indices_) {
-    directory_->SetColluding(idx, false);
-  }
-  // The placement rule (and its exact RNG draw sequence) lives in
-  // strategies::SampleColluders so the closed-form adversary model and
-  // the live attack scenarios mark the identical coalition for the same
-  // seed; attack_test pins the parity.
-  colluder_indices_ =
-      strategies::SampleColluders(*directory_, params_.c(), rng);
-  for (uint32_t idx : colluder_indices_) {
-    directory_->SetColluding(idx, true);
-  }
-}
-
 void Network::RefreshKTable(uint64_t population) {
   ktable_.emplace(core::KTable::Build(population, params_.c(), params_.alpha));
   tolerance_rs_ =
       core::SolveRegionSizeForPopulation(1, population, params_.alpha);
+}
+
+std::vector<strategies::Coalition> DrawCoalitions(const Network& network,
+                                                  int trials, uint64_t seed) {
+  std::vector<strategies::Coalition> coalitions;
+  coalitions.reserve(static_cast<size_t>(TrialRunner::ShardCount(trials)));
+  for (int e = 0; e < TrialRunner::ShardCount(trials); ++e) {
+    util::Rng rng(StreamSeed(seed, static_cast<uint64_t>(e)));
+    coalitions.push_back(strategies::SampleColluders(
+        network.directory(), network.params().c(), rng));
+  }
+  return coalitions;
 }
 
 }  // namespace sep2p::sim

@@ -2,7 +2,7 @@
 //
 // Provisioning follows the paper's architecture: each node gets a key
 // pair from the signature provider and a certificate from the offline
-// CA; its DHT id is imposed as hash(public key), so colluders — marked
+// CA; its DHT id is imposed as hash(public key), so colluders — drawn
 // uniformly at random — end up uniformly spread over the ring. The
 // network exposes a core::ProtocolContext that protocol runs borrow.
 
@@ -21,6 +21,7 @@
 #include "dht/chord.h"
 #include "dht/directory.h"
 #include "sim/parameters.h"
+#include "strategies/adversary.h"
 #include "util/rng.h"
 
 namespace sep2p::sim {
@@ -54,18 +55,11 @@ class Network {
   void set_verify_sink(crypto::VerdictCache* sink) { verify_sink_ = sink; }
   crypto::VerdictCache* verify_sink() const { return verify_sink_; }
 
-  // Directory indices of the colluding nodes, ascending.
-  const std::vector<uint32_t>& ColluderIndices() const {
-    return colluder_indices_;
-  }
-
-  // Re-randomizes which nodes collude (same C), for repeated trials.
-  // O(C): clears the previous sample and applies the new one instead of
-  // resetting all N flags — at N=10^6+ the full wipe dominated per-trial
-  // reset. Draws the same RNG stream as the historical full-wipe path,
-  // so assignments are bit-identical to it. Colluders are sampled among
-  // the initial population (churn-pool nodes never collude).
-  void ReassignColluders(util::Rng& rng);
+  // The coalition drawn at build time from rng() (C colluders among
+  // the initial population; churn-pool nodes never collude). Harnesses
+  // that re-randomize colluders per epoch draw their own coalitions
+  // (DrawCoalitions) and leave this one alone.
+  const strategies::Coalition& coalition() const { return coalition_; }
 
   // Rebuilds the k-table for a new effective population (churn drivers
   // call this when the alive count drifts far from the k-table's N).
@@ -84,8 +78,15 @@ class Network {
   std::optional<core::KTable> ktable_;
   double tolerance_rs_ = 0;
   crypto::VerdictCache* verify_sink_ = nullptr;
-  std::vector<uint32_t> colluder_indices_;  // ascending
+  strategies::Coalition coalition_;
 };
+
+// One coalition per epoch of `trials` trials (TrialRunner::kShardSize
+// trials each, so epoch e is shard e): epoch e draws C colluders from
+// Rng(StreamSeed(seed, e)). Drawn up front, so the epochs' trials run
+// as ordinary parallel shards over read-only state.
+std::vector<strategies::Coalition> DrawCoalitions(const Network& network,
+                                                  int trials, uint64_t seed);
 
 }  // namespace sep2p::sim
 

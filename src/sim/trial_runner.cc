@@ -55,7 +55,6 @@ Status TrialRunner::RunShards(
 
 Status TrialRunner::RunPoint(
     size_t point, int trials, uint64_t seed, const SweepObservers* observers,
-    const std::function<void(int)>& on_epoch,
     const std::function<Status(const Trial&)>& trial_fn) {
   // Only point 0 records; the resize is the one write that touches more
   // than one slot, so it happens before any trial runs.
@@ -71,7 +70,7 @@ Status TrialRunner::RunPoint(
           ? static_cast<size_t>(ShardCount(trials))
           : 0);
 
-  auto run_shard = [&](int shard, int begin, int end) {
+  Status status = RunShards(trials, [&](int shard, int begin, int end) {
     obs::MetricsRegistry* met =
         shard_metrics.empty() ? nullptr
                               : &shard_metrics[static_cast<size_t>(shard)];
@@ -82,22 +81,11 @@ Status TrialRunner::RunPoint(
               ? &(*recorders)[static_cast<size_t>(t)]
               : nullptr;
       if (met != nullptr) met->Inc(obs::Counter::kTrials);
-      Status status = trial_fn(Trial{t, shard, rng, rec, met});
-      if (!status.ok()) return status;
+      Status trial_status = trial_fn(Trial{t, shard, rng, rec, met});
+      if (!trial_status.ok()) return trial_status;
     }
     return Status::Ok();
-  };
-
-  Status status = Status::Ok();
-  if (on_epoch) {
-    for (int shard = 0; shard < ShardCount(trials) && status.ok(); ++shard) {
-      on_epoch(shard);
-      const int begin = shard * kShardSize;
-      status = run_shard(shard, begin, std::min(begin + kShardSize, trials));
-    }
-  } else {
-    status = RunShards(trials, run_shard);
-  }
+  });
   if (!status.ok()) return status;
 
   for (const obs::MetricsRegistry& shard : shard_metrics) {

@@ -14,9 +14,10 @@
 //     thread count). Each shard owns its OnlineStats et al.; shards are
 //     merged serially in shard order after the parallel section
 //     (OnlineStats::Merge is the parallel-safe combine);
-//   * shared simulator state (Network, Directory): read-only during a
-//     parallel section. Mutations (ReassignColluders) happen at barrier
-//     points between sections;
+//   * shared simulator state (Network, Directory, the epochs'
+//     strategies::Coalition values): read-only while trials run. What
+//     varies per epoch is drawn before the point starts
+//     (sim::DrawCoalitions), so no trial waits on a barrier;
 //   * errors: the failing trial with the lowest index wins, matching
 //     what a serial loop would have reported first.
 //
@@ -82,7 +83,7 @@ struct Trial {
 class TrialRunner {
  public:
   // Fixed shard width for per-shard accumulation, and the length of a
-  // colluder-reassignment epoch, so an epoch is exactly one shard.
+  // colluder epoch (one coalition per shard, sim::DrawCoalitions).
   static constexpr int kShardSize = 16;
 
   // `threads` as in Parameters::threads: >= 1 literal, else one per
@@ -110,16 +111,9 @@ class TrialRunner {
   // merge into observers->metrics in shard order once every trial has
   // succeeded.
   //
-  // `on_epoch` (may be empty) is the barrier for mutating shared state:
-  // on_epoch(e) runs on the calling thread before the trials of shard
-  // e, and the shards then run one after another, with no trial in
-  // flight during a barrier.
-  //
-  // Returns the error of the lowest-indexed failing trial, or OK. With
-  // `on_epoch` set, no shard after the failing one runs.
+  // Returns the error of the lowest-indexed failing trial, or OK.
   Status RunPoint(size_t point, int trials, uint64_t seed,
                   const SweepObservers* observers,
-                  const std::function<void(int)>& on_epoch,
                   const std::function<Status(const Trial&)>& trial_fn);
 
   // Shard-level variant for loops that are not protocol trials:

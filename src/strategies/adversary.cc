@@ -1,17 +1,24 @@
 #include "strategies/adversary.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace sep2p::strategies {
 
+Coalition::Coalition(std::vector<uint32_t> indices, size_t directory_size)
+    : indices_(std::move(indices)), member_(directory_size, false) {
+  for (uint32_t idx : indices_) member_[idx] = true;
+}
+
 std::optional<uint32_t> FindClaimingColluder(const dht::Directory& directory,
+                                             const Coalition& coalition,
                                              dht::RingPos p,
                                              double tolerance_rs) {
   dht::Region tolerance = dht::Region::Centered(p, tolerance_rs);
   std::optional<uint32_t> best;
   dht::RingPos best_distance = 0;
   for (uint32_t idx : directory.NodesInRegion(tolerance)) {
-    if (!directory.colluding(idx)) continue;
+    if (!coalition.contains(idx)) continue;
     dht::RingPos d = dht::RingDistance(directory.pos(idx), p);
     if (!best.has_value() || d < best_distance) {
       best = idx;
@@ -21,8 +28,8 @@ std::optional<uint32_t> FindClaimingColluder(const dht::Directory& directory,
   return best;
 }
 
-std::vector<uint32_t> SampleColluders(const dht::Directory& directory,
-                                      uint64_t count, util::Rng& rng) {
+Coalition SampleColluders(const dht::Directory& directory, uint64_t count,
+                          util::Rng& rng) {
   // Sample over the alive population (pool/departed nodes never collude;
   // their handles are interleaved with alive ones because the directory
   // sorts by ring position). With no pool and no churn the k-th alive
@@ -37,7 +44,7 @@ std::vector<uint32_t> SampleColluders(const dht::Directory& directory,
     colluders.push_back(*directory.NthAlive(k));
   }
   std::sort(colluders.begin(), colluders.end());
-  return colluders;
+  return Coalition(std::move(colluders), directory.size());
 }
 
 }  // namespace sep2p::strategies

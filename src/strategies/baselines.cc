@@ -20,7 +20,7 @@ Result<StrategyOutcome> IdealStrategy::Run(uint32_t trigger_index,
   for (size_t idx : sample) {
     outcome.actors.push_back(static_cast<uint32_t>(idx));
   }
-  outcome.corrupted_actors = CountCorrupted(outcome.actors);
+  outcome.corrupted_actors = coalition_.CountIn(outcome.actors);
   // Server signs once; the querier fetches the list.
   outcome.setup_cost = net::Cost::Step(1, 2);
   outcome.verification_cost = 1;  // one signature check
@@ -41,7 +41,7 @@ Result<StrategyOutcome> CsarStrategy::Run(uint32_t trigger_index,
   // commit-reveal makes the value uniform, so the selection is ideal.
   outcome.actors = core::CsarActorsFromRandom(
       *ctx_.directory, run->random.Value(), ctx_.actor_count);
-  outcome.corrupted_actors = CountCorrupted(outcome.actors);
+  outcome.corrupted_actors = coalition_.CountIn(outcome.actors);
   // DHT variant of the baseline (§3.1): verifiers check each participant
   // (cert + signature) and each actor's genuineness: 2(C+1) + A.
   outcome.verification_cost =

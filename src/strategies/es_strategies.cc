@@ -40,10 +40,10 @@ Result<StrategyOutcome> EsStrategyBase::Run(uint32_t trigger_index,
   // effect.
   std::optional<uint32_t> setter;
   if (adversary_.claim_execution_setter) {
-    setter = FindClaimingColluder(dir, p, ctx_.tolerance_rs);
+    setter = FindClaimingColluder(dir, coalition_, p, ctx_.tolerance_rs);
   }
   if (!setter.has_value()) setter = route->dest_index;
-  const bool setter_corrupted = dir.colluding(*setter);
+  const bool setter_corrupted = coalition_.contains(*setter);
 
   if (setter_corrupted && adversary_.stuff_actor_list) {
     outcome.attacker_controlled = true;
@@ -59,20 +59,15 @@ Result<StrategyOutcome> EsStrategyBase::Run(uint32_t trigger_index,
     dht::Region r3 = dht::Region::Centered(p, ctx_.rs3);
     std::vector<uint32_t> colluders, honest;
     for (uint32_t idx : dir.NodesInRegion(r3)) {
-      (dir.colluding(idx) ? colluders : honest).push_back(idx);
+      (coalition_.contains(idx) ? colluders : honest).push_back(idx);
     }
     // Colluders anywhere in the network can be enrolled by the corrupted
     // Setter — it freely chooses the list.
-    if (static_cast<int>(colluders.size()) < ctx_.actor_count) {
-      for (uint32_t idx = 0; idx < dir.size() &&
-                             static_cast<int>(colluders.size()) <
-                                 ctx_.actor_count;
-           ++idx) {
-        if (dir.colluding(idx) &&
-            std::find(colluders.begin(), colluders.end(), idx) ==
-                colluders.end()) {
-          colluders.push_back(idx);
-        }
+    for (uint32_t idx : coalition_.indices()) {
+      if (static_cast<int>(colluders.size()) >= ctx_.actor_count) break;
+      if (std::find(colluders.begin(), colluders.end(), idx) ==
+          colluders.end()) {
+        colluders.push_back(idx);
       }
     }
     for (uint32_t idx : colluders) {
@@ -83,7 +78,7 @@ Result<StrategyOutcome> EsStrategyBase::Run(uint32_t trigger_index,
       if (static_cast<int>(outcome.actors.size()) >= ctx_.actor_count) break;
       outcome.actors.push_back(idx);
     }
-    outcome.corrupted_actors = CountCorrupted(outcome.actors);
+    outcome.corrupted_actors = coalition_.CountIn(outcome.actors);
     outcome.setup_cost.Then(net::Cost::Step(1, 1));
     return outcome;
   }
@@ -98,7 +93,7 @@ Result<StrategyOutcome> EsStrategyBase::Run(uint32_t trigger_index,
   rng.Shuffle(pool);
   pool.resize(ctx_.actor_count);
   outcome.actors = std::move(pool);
-  outcome.corrupted_actors = CountCorrupted(outcome.actors);
+  outcome.corrupted_actors = coalition_.CountIn(outcome.actors);
   // Setter signs the list, then pings the actors in parallel.
   outcome.setup_cost.Then(net::Cost::Step(1, 1));
   outcome.setup_cost.Then(

@@ -38,7 +38,7 @@ Result<StrategyOutcome> MHashStrategy::Run(uint32_t trigger_index,
     // beats the rightful nearest node; verifiers cannot tell.
     std::optional<uint32_t> actor;
     if (adversary_.claim_execution_setter) {
-      actor = FindClaimingColluder(dir, target, ctx_.tolerance_rs);
+      actor = FindClaimingColluder(dir, coalition_, target, ctx_.tolerance_rs);
     }
     if (!actor.has_value()) actor = dir.NearestIndex(target);
     if (!actor.has_value()) {
@@ -52,7 +52,7 @@ Result<StrategyOutcome> MHashStrategy::Run(uint32_t trigger_index,
   outcome.setup_cost.Then(
       net::Cost::ParIdentical(net::Cost::Step(0, 1), ctx_.actor_count));
 
-  outcome.corrupted_actors = CountCorrupted(outcome.actors);
+  outcome.corrupted_actors = coalition_.CountIn(outcome.actors);
   return outcome;
 }
 

@@ -6,29 +6,10 @@
 
 namespace sep2p::strategies {
 
-int Strategy::CountCorrupted(const std::vector<uint32_t>& actors) const {
-  int corrupted = 0;
-  for (uint32_t idx : actors) {
-    if (ctx_.directory->colluding(idx)) ++corrupted;
-  }
-  return corrupted;
-}
-
-namespace {
-
-// AdversaryConfig::hide_honest_cache_entries as a hook: every colluding
-// SL reports only colluding entries in its candidate list.
-class HideHonestEntries final : public core::AttackHooks {
- public:
-  bool SlBiasesCandidates(uint32_t /*sl_index*/) override { return true; }
-};
-
-}  // namespace
-
 Result<StrategyOutcome> Sep2pStrategy::Run(uint32_t trigger_index,
                                            util::Rng& rng) {
   core::SelectionProtocol protocol(ctx_);
-  HideHonestEntries hide;
+  HideHonestEntries hide(coalition_);
   core::SelectionOptions options;
   if (adversary_.hide_honest_cache_entries) options.attack = &hide;
   Result<core::SelectionProtocol::Outcome> run =
@@ -37,22 +18,34 @@ Result<StrategyOutcome> Sep2pStrategy::Run(uint32_t trigger_index,
 
   StrategyOutcome outcome;
   outcome.actors = run->actor_indices;
-  outcome.corrupted_actors = CountCorrupted(outcome.actors);
+  outcome.corrupted_actors = coalition_.CountIn(outcome.actors);
   outcome.relocations = run->relocations;
   outcome.setup_cost = run->cost;
   outcome.verification_cost = 2.0 * run->val.k();
   return outcome;
 }
 
+namespace {
+
+template <typename S>
+std::unique_ptr<Strategy> New(const core::ProtocolContext& ctx,
+                              const AdversaryConfig& adversary,
+                              const Coalition& coalition) {
+  return std::make_unique<S>(ctx, adversary, coalition);
+}
+
+}  // namespace
+
 std::unique_ptr<Strategy> MakeStrategy(const std::string& name,
                                        const core::ProtocolContext& ctx,
-                                       const AdversaryConfig& adversary) {
-  if (name == "SEP2P") return std::make_unique<Sep2pStrategy>(ctx, adversary);
-  if (name == "ES.NAV") return std::make_unique<EsNavStrategy>(ctx, adversary);
-  if (name == "ES.AV") return std::make_unique<EsAvStrategy>(ctx, adversary);
-  if (name == "M.Hash") return std::make_unique<MHashStrategy>(ctx, adversary);
-  if (name == "Ideal") return std::make_unique<IdealStrategy>(ctx, adversary);
-  if (name == "CSAR") return std::make_unique<CsarStrategy>(ctx, adversary);
+                                       const AdversaryConfig& adversary,
+                                       const Coalition& coalition) {
+  if (name == "SEP2P") return New<Sep2pStrategy>(ctx, adversary, coalition);
+  if (name == "ES.NAV") return New<EsNavStrategy>(ctx, adversary, coalition);
+  if (name == "ES.AV") return New<EsAvStrategy>(ctx, adversary, coalition);
+  if (name == "M.Hash") return New<MHashStrategy>(ctx, adversary, coalition);
+  if (name == "Ideal") return New<IdealStrategy>(ctx, adversary, coalition);
+  if (name == "CSAR") return New<CsarStrategy>(ctx, adversary, coalition);
   return nullptr;
 }
 

@@ -37,9 +37,13 @@ struct StrategyOutcome {
 
 class Strategy {
  public:
-  Strategy(const core::ProtocolContext& ctx, const AdversaryConfig& adversary)
+  // `coalition` is the epoch's colluders; like `ctx`, it must outlive
+  // the strategy.
+  Strategy(const core::ProtocolContext& ctx, const AdversaryConfig& adversary,
+           const Coalition& coalition)
       : ctx_(ctx),
         adversary_(adversary),
+        coalition_(coalition),
         network_(static_cast<uint32_t>(ctx.directory->size()),
                  net::kIdealLink, net::RetryPolicy{}, /*seed=*/0) {}
   virtual ~Strategy() = default;
@@ -58,11 +62,9 @@ class Strategy {
   }
 
  protected:
-  // Counts colluders among `actors`.
-  int CountCorrupted(const std::vector<uint32_t>& actors) const;
-
   const core::ProtocolContext& ctx_;
   AdversaryConfig adversary_;
+  const Coalition& coalition_;
   // The zero-fault transport the protocols run over (net::kIdealLink):
   // every RPC succeeds on its first attempt, so each Run is a pure
   // function of its Rng. Owned per strategy, never shared across
@@ -81,7 +83,8 @@ class Sep2pStrategy : public Strategy {
 
 std::unique_ptr<Strategy> MakeStrategy(const std::string& name,
                                        const core::ProtocolContext& ctx,
-                                       const AdversaryConfig& adversary);
+                                       const AdversaryConfig& adversary,
+                                       const Coalition& coalition);
 
 }  // namespace sep2p::strategies
 

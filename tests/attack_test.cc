@@ -18,6 +18,7 @@
 #include "core/attack_hooks.h"
 #include "core/selection.h"
 #include "sim/network.h"
+#include "sim/trial_runner.h"
 #include "strategies/adversary.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -57,31 +58,32 @@ TEST(AdversarySweepTest, AdversarySweepIsThreadInvariant) {
 
 // ------------------------------------------- colluder-sampling parity
 
-// The live network's epoch reassignment and the closed-form adversary
-// model must mark the IDENTICAL coalition for the same seed — the
+// The live network's per-epoch coalitions and the closed-form adversary
+// model must draw the IDENTICAL coalition for the same seed — the
 // attack sweep's bias figures are only comparable to the analytic
 // effectiveness curves under this parity.
 TEST(AdversarySweepTest, ColluderSamplingParity) {
   auto network = test::MakeNetwork(/*n=*/1500, /*c_fraction=*/0.05);
   ASSERT_NE(network, nullptr);
 
-  util::Rng net_rng(123);
-  network->ReassignColluders(net_rng);
-
-  util::Rng model_rng(123);
-  std::vector<uint32_t> expected = strategies::SampleColluders(
-      network->directory(), network->params().c(), model_rng);
-
-  EXPECT_EQ(network->ColluderIndices(), expected);
-  ASSERT_FALSE(expected.empty());
-  // The directory flags agree with the sampled set, and only with it.
-  size_t flagged = 0;
-  for (uint32_t i = 0; i < network->directory().size(); ++i) {
-    if (network->directory().colluding(i)) ++flagged;
-  }
-  EXPECT_EQ(flagged, expected.size());
-  for (uint32_t idx : expected) {
-    EXPECT_TRUE(network->directory().colluding(idx));
+  const std::vector<strategies::Coalition> epochs = sim::DrawCoalitions(
+      *network, /*trials=*/3 * sim::TrialRunner::kShardSize, /*seed=*/123);
+  ASSERT_EQ(epochs.size(), 3u);
+  for (uint64_t e = 0; e < epochs.size(); ++e) {
+    util::Rng model_rng(sim::StreamSeed(123, e));
+    const strategies::Coalition expected = strategies::SampleColluders(
+        network->directory(), network->params().c(), model_rng);
+    EXPECT_EQ(epochs[e].indices(), expected.indices()) << "epoch " << e;
+    ASSERT_FALSE(expected.empty());
+    // Membership agrees with the sampled list, and only with it.
+    size_t members = 0;
+    for (uint32_t i = 0; i < network->directory().size(); ++i) {
+      if (epochs[e].contains(i)) ++members;
+    }
+    EXPECT_EQ(members, expected.size());
+    for (uint32_t idx : expected.indices()) {
+      EXPECT_TRUE(epochs[e].contains(idx));
+    }
   }
 }
 
@@ -126,7 +128,8 @@ class ScenarioContractTest : public ::testing::Test {
     ASSERT_NE(network_, nullptr);
     ctx_ = network_->context();
     util::Rng rng(7);
-    network_->ReassignColluders(rng);
+    coalition_ = strategies::SampleColluders(
+        network_->directory(), network_->params().c(), rng);
   }
 
   // Runs `name` for `trials` triggers and returns every outcome,
@@ -136,8 +139,7 @@ class ScenarioContractTest : public ::testing::Test {
     std::vector<attack::AttackOutcome> outcomes;
     util::Rng rng(31);
     for (int t = 0; t < trials; ++t) {
-      auto scenario =
-          attack::MakeScenario(name, ctx_, network_->ColluderIndices());
+      auto scenario = attack::MakeScenario(name, ctx_, coalition_);
       EXPECT_NE(scenario, nullptr) << name;
       obs::TraceRecorder rec;
       rec.meta().node_count =
@@ -157,6 +159,7 @@ class ScenarioContractTest : public ::testing::Test {
 
   std::unique_ptr<sim::Network> network_;
   core::ProtocolContext ctx_;
+  strategies::Coalition coalition_;
 };
 
 TEST_F(ScenarioContractTest, RegistryCoversEveryNameOnce) {
@@ -164,13 +167,11 @@ TEST_F(ScenarioContractTest, RegistryCoversEveryNameOnce) {
   ASSERT_GE(names.size(), 6u);  // "none" + at least five attacks
   EXPECT_EQ(names.front(), "none");
   for (const std::string& name : names) {
-    auto scenario =
-        attack::MakeScenario(name, ctx_, network_->ColluderIndices());
+    auto scenario = attack::MakeScenario(name, ctx_, coalition_);
     ASSERT_NE(scenario, nullptr) << name;
     EXPECT_EQ(scenario->name(), name);
   }
-  EXPECT_EQ(attack::MakeScenario("no-such-attack", ctx_,
-                                 network_->ColluderIndices()),
+  EXPECT_EQ(attack::MakeScenario("no-such-attack", ctx_, coalition_),
             nullptr);
 }
 

@@ -65,5 +65,19 @@ TEST(BenchFlagsTest, MalformedValuesExitWithStatusTwo) {
               testing::ExitedWithCode(2), "--trace-trials");
 }
 
+// The provenance block names the run's --threads value and mode, and a
+// calibration measured over the machine's hardware threads.
+TEST(BenchFlagsTest, ProvenanceRecordsThreadsAndMode) {
+  Argv quick({"--quick", "--threads", "3"});
+  const std::string block = ProvenanceJson(quick.argc(), quick.argv());
+  EXPECT_EQ(block.rfind("  \"provenance\": {\"commit\": \"", 0), 0u) << block;
+  EXPECT_NE(block.find("\"threads\": 3, \"mode\": \"quick\"}"),
+            std::string::npos)
+      << block;
+  EXPECT_NE(block.find("\"hardware_concurrency\": "), std::string::npos);
+  EXPECT_NE(block.find("\"effective_parallelism\": "), std::string::npos);
+  EXPECT_EQ(block.substr(block.size() - 2), ",\n");
+}
+
 }  // namespace
 }  // namespace sep2p::bench

@@ -88,7 +88,7 @@ TEST_F(CsarTest, ActorMappingIsUniformish) {
 
 TEST_F(CsarTest, CsarStrategyIsIdealButExpensive) {
   strategies::AdversaryConfig full;
-  strategies::CsarStrategy csar(ctx_, full);
+  strategies::CsarStrategy csar(ctx_, full, network_->coalition());
   util::Rng rng(7);
   double corrupted = 0;
   const int kTrials = 40;
@@ -107,7 +107,7 @@ TEST_F(CsarTest, CsarStrategyIsIdealButExpensive) {
 
 TEST_F(CsarTest, IdealStrategyCostsOneVerification) {
   strategies::AdversaryConfig full;
-  strategies::IdealStrategy ideal(ctx_, full);
+  strategies::IdealStrategy ideal(ctx_, full, network_->coalition());
   util::Rng rng(9);
   auto run = ideal.Run(0, rng);
   ASSERT_TRUE(run.ok());
@@ -117,7 +117,7 @@ TEST_F(CsarTest, IdealStrategyCostsOneVerification) {
 
 TEST_F(CsarTest, IdealStrategyIsUnbiased) {
   strategies::AdversaryConfig full;
-  strategies::IdealStrategy ideal(ctx_, full);
+  strategies::IdealStrategy ideal(ctx_, full, network_->coalition());
   util::Rng rng(11);
   double corrupted = 0;
   for (int t = 0; t < 60; ++t) {
@@ -130,8 +130,9 @@ TEST_F(CsarTest, IdealStrategyIsUnbiased) {
 
 TEST_F(CsarTest, FactoryKnowsBaselines) {
   strategies::AdversaryConfig adv;
-  EXPECT_NE(strategies::MakeStrategy("Ideal", ctx_, adv), nullptr);
-  EXPECT_NE(strategies::MakeStrategy("CSAR", ctx_, adv), nullptr);
+  const strategies::Coalition& coalition = network_->coalition();
+  EXPECT_NE(strategies::MakeStrategy("Ideal", ctx_, adv, coalition), nullptr);
+  EXPECT_NE(strategies::MakeStrategy("CSAR", ctx_, adv, coalition), nullptr);
 }
 
 TEST_F(CsarTest, VerificationCostGrowsLinearlyWithC) {
@@ -148,16 +149,20 @@ TEST_F(CsarTest, VerificationCostGrowsLinearlyWithC) {
   core::ProtocolContext small_ctx = small_net->context();
   core::ProtocolContext big_ctx = big_net->context();
 
-  strategies::CsarStrategy csar_small(small_ctx, passive);
-  strategies::CsarStrategy csar_big(big_ctx, passive);
+  strategies::CsarStrategy csar_small(small_ctx, passive,
+                                      small_net->coalition());
+  strategies::CsarStrategy csar_big(big_ctx, passive,
+                                    big_net->coalition());
   auto rs = csar_small.Run(1, rng);
   auto rb = csar_big.Run(1, rng);
   ASSERT_TRUE(rs.ok() && rb.ok());
   EXPECT_DOUBLE_EQ(rb->verification_cost - rs->verification_cost,
                    2.0 * (50 - 10));
 
-  strategies::Sep2pStrategy sep2p_small(small_ctx, passive);
-  strategies::Sep2pStrategy sep2p_big(big_ctx, passive);
+  strategies::Sep2pStrategy sep2p_small(small_ctx, passive,
+                                        small_net->coalition());
+  strategies::Sep2pStrategy sep2p_big(big_ctx, passive,
+                                      big_net->coalition());
   auto ss = sep2p_small.Run(1, rng);
   auto sb = sep2p_big.Run(1, rng);
   ASSERT_TRUE(ss.ok() && sb.ok());

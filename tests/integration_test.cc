@@ -98,7 +98,8 @@ TEST_F(IntegrationTest, StrategiesRunUnderRealCrypto) {
   strategies::AdversaryConfig passive =
       strategies::AdversaryConfig::Passive();
   for (const char* name : {"SEP2P", "ES.NAV", "ES.AV", "M.Hash"}) {
-    auto strategy = strategies::MakeStrategy(name, ctx, passive);
+    auto strategy = strategies::MakeStrategy(name, ctx, passive,
+                                             network_->coalition());
     auto run = strategy->Run(9, rng_);
     ASSERT_TRUE(run.ok()) << name << ": " << run.status().ToString();
     EXPECT_EQ(run->actors.size(), static_cast<size_t>(ctx.actor_count));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dht/node_id.h"
+#include "sim/trial_runner.h"
 #include "tests/test_util.h"
 
 namespace sep2p::sim {
@@ -18,13 +19,13 @@ TEST(NetworkTest, BuildsRequestedSize) {
 TEST(NetworkTest, ColluderCountMatchesFraction) {
   auto network = test::MakeNetwork(1000, 0.05);
   ASSERT_NE(network, nullptr);
-  EXPECT_EQ(network->ColluderIndices().size(), 50u);
+  EXPECT_EQ(network->coalition().size(), 50u);
 }
 
 TEST(NetworkTest, AtLeastOneColluderEvenForTinyFractions) {
   auto network = test::MakeNetwork(1000, 1e-9);
   ASSERT_NE(network, nullptr);
-  EXPECT_EQ(network->ColluderIndices().size(), 1u);
+  EXPECT_EQ(network->coalition().size(), 1u);
 }
 
 TEST(NetworkTest, NodeIdsAreImposedFromPublicKeys) {
@@ -45,15 +46,21 @@ TEST(NetworkTest, EveryCertificateChecksOut) {
   }
 }
 
+// A per-epoch redraw (sim::DrawCoalitions) keeps C and leaves the
+// network's own coalition alone.
 TEST(NetworkTest, ReassignColludersKeepsCount) {
   auto network = test::MakeNetwork(1000, 0.03);
   ASSERT_NE(network, nullptr);
-  auto before = network->ColluderIndices();
-  util::Rng rng(5);
-  network->ReassignColluders(rng);
-  auto after = network->ColluderIndices();
-  EXPECT_EQ(before.size(), after.size());
-  EXPECT_NE(before, after);  // overwhelmingly likely
+  const std::vector<uint32_t> before = network->coalition().indices();
+  std::vector<strategies::Coalition> epochs =
+      DrawCoalitions(*network, /*trials=*/2 * TrialRunner::kShardSize, 5);
+  ASSERT_EQ(epochs.size(), 2u);
+  for (const strategies::Coalition& epoch : epochs) {
+    EXPECT_EQ(epoch.size(), before.size());
+    EXPECT_NE(epoch.indices(), before);  // overwhelmingly likely
+  }
+  EXPECT_NE(epochs[0].indices(), epochs[1].indices());
+  EXPECT_EQ(network->coalition().indices(), before);
 }
 
 TEST(NetworkTest, ColludersAreSpreadUniformly) {
@@ -62,7 +69,7 @@ TEST(NetworkTest, ColludersAreSpreadUniformly) {
   auto network = test::MakeNetwork(8000, 0.1, /*cache=*/256, /*seed=*/3);
   ASSERT_NE(network, nullptr);
   int buckets[8] = {};
-  for (uint32_t idx : network->ColluderIndices()) {
+  for (uint32_t idx : network->coalition().indices()) {
     ++buckets[static_cast<int>(network->directory().pos(idx) >> 125)];
   }
   for (int b : buckets) EXPECT_NEAR(b, 100, 45);
@@ -109,8 +116,7 @@ TEST(NetworkTest, SameSeedSameNetwork) {
   ASSERT_NE(b, nullptr);
   for (uint32_t i = 0; i < a->directory().size(); ++i) {
     EXPECT_EQ(a->directory().id(i), b->directory().id(i));
-    EXPECT_EQ(a->directory().colluding(i),
-              b->directory().colluding(i));
+    EXPECT_EQ(a->coalition().contains(i), b->coalition().contains(i));
   }
 }
 

@@ -107,8 +107,8 @@ TEST(ProxyTest, BothPartiesColludingIsRare) {
     auto delivery = ForwardViaProxy(runtime, *network, 7,
                                     dir.pub(recipient_index), {1}, rng);
     ASSERT_TRUE(delivery.ok());
-    if (dir.colluding(delivery->proxy_index) &&
-        dir.colluding(recipient_index)) {
+    if (network->coalition().contains(delivery->proxy_index) &&
+        network->coalition().contains(recipient_index)) {
       ++both_colluding;
     }
   }

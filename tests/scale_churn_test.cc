@@ -9,8 +9,8 @@
 //    rebuild of the surviving population.
 //  - CAN incremental join/leave keeps a valid partition equal (as an
 //    owner set) to a from-scratch rebuild.
-//  - O(C) ReassignColluders is bit-identical to the historical
-//    clear-all-then-sample path.
+//  - Repeated coalition draws (strategies::SampleColluders) are
+//    bit-identical to the historical clear-all-then-sample path.
 //  - The ChurnDriver is deterministic for any build thread count, and
 //    churn-pool nodes get genuine CA certificates at join time.
 
@@ -319,7 +319,8 @@ TEST(CanChurnTest, RemoveDownToOneAndRegrow) {
 }
 
 // ---------------------------------------------------------------------
-// Satellite (c): O(C) colluder reassignment parity.
+// Colluder redraw parity: the per-epoch coalitions the harnesses draw
+// are the sets the historical wipe-all-flags-then-sample path marked.
 
 TEST(ColluderReassignTest, IncrementalMatchesClearAllPath) {
   auto network = test::MakeNetwork(2000, 0.03);
@@ -337,21 +338,22 @@ TEST(ColluderReassignTest, IncrementalMatchesClearAllPath) {
       expected[idx] = true;
     }
 
-    util::Rng incremental(900 + round);
-    network->ReassignColluders(incremental);
+    util::Rng redraw(900 + round);
+    const strategies::Coalition coalition =
+        strategies::SampleColluders(dir, c, redraw);
 
-    size_t marked = 0;
+    size_t members = 0;
     for (uint32_t i = 0; i < dir.size(); ++i) {
-      EXPECT_EQ(dir.colluding(i), expected[i]) << "node " << i;
-      marked += dir.colluding(i) ? 1 : 0;
+      EXPECT_EQ(coalition.contains(i), expected[i]) << "node " << i;
+      members += coalition.contains(i) ? 1 : 0;
     }
-    EXPECT_EQ(marked, c);
+    EXPECT_EQ(members, c);
 
-    // ColluderIndices is the ascending list of marked nodes.
-    const std::vector<uint32_t>& listed = network->ColluderIndices();
+    // indices() is the ascending list of members.
+    const std::vector<uint32_t>& listed = coalition.indices();
     EXPECT_EQ(listed.size(), c);
     EXPECT_TRUE(std::is_sorted(listed.begin(), listed.end()));
-    for (uint32_t idx : listed) EXPECT_TRUE(dir.colluding(idx));
+    for (uint32_t idx : listed) EXPECT_TRUE(expected[idx]);
   }
 }
 
@@ -391,7 +393,7 @@ TEST(ChurnDriverTest, PoolNodesProvisionedDeadWithoutCerts) {
   }
   EXPECT_EQ(dead, 60u);
   // Dead pool nodes never collude.
-  for (uint32_t idx : network.value()->ColluderIndices()) {
+  for (uint32_t idx : network.value()->coalition().indices()) {
     EXPECT_TRUE(dir.alive(idx));
   }
 }

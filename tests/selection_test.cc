@@ -26,13 +26,6 @@ class SelectionTest : public ::testing::Test {
   util::Rng rng_{11};
 };
 
-// The covert cache-hiding deviation: every colluding SL reports only
-// colluding entries in its candidate list.
-class HideHonestEntries : public AttackHooks {
- public:
-  bool SlBiasesCandidates(uint32_t /*sl_index*/) override { return true; }
-};
-
 TEST_F(SelectionTest, SelectsExactlyAActors) {
   SelectionProtocol protocol(ctx_);
   auto outcome = protocol.Run(5, rng_, transport_);
@@ -180,7 +173,7 @@ TEST_F(SelectionTest, CollusionHidingCacheEntriesIsDefeated) {
   // union restores (nearly) all honest candidates — the corrupted-actor
   // count cannot grow beyond edge noise, and the contract always holds.
   SelectionProtocol protocol(ctx_);
-  HideHonestEntries hide;
+  strategies::HideHonestEntries hide(network_->coalition());
   SelectionOptions honest;
   SelectionOptions hiding;
   hiding.attack = &hide;
@@ -194,10 +187,10 @@ TEST_F(SelectionTest, CollusionHidingCacheEntriesIsDefeated) {
     EXPECT_EQ(b->val.actor_count(), ctx_.actor_count);
     EXPECT_TRUE(VerifyActorList(ctx_, b->val).ok());
     for (uint32_t actor : a->actor_indices) {
-      honest_corrupted += network_->directory().colluding(actor);
+      honest_corrupted += network_->coalition().contains(actor);
     }
     for (uint32_t actor : b->actor_indices) {
-      hiding_corrupted += network_->directory().colluding(actor);
+      hiding_corrupted += network_->coalition().contains(actor);
     }
   }
   // 15 runs x 8 actors at C% = 1%: ideal ~1.2 corrupted in total. The

@@ -44,31 +44,31 @@ class StrategiesTest : public ::testing::Test {
 TEST_F(StrategiesTest, FactoryKnowsAllStrategies) {
   AdversaryConfig adv;
   for (const char* name : {"SEP2P", "ES.NAV", "ES.AV", "M.Hash"}) {
-    auto strategy = MakeStrategy(name, ctx_, adv);
+    auto strategy = MakeStrategy(name, ctx_, adv, network_->coalition());
     ASSERT_NE(strategy, nullptr) << name;
     EXPECT_STREQ(strategy->name(), name);
   }
-  EXPECT_EQ(MakeStrategy("bogus", ctx_, adv), nullptr);
+  EXPECT_EQ(MakeStrategy("bogus", ctx_, adv, network_->coalition()), nullptr);
 }
 
 TEST_F(StrategiesTest, VerificationCostFormulasMatchPaper) {
   AdversaryConfig passive = AdversaryConfig::Passive();
   util::Rng rng(3);
   // SEP2P and ES.NAV: 2k. ES.AV: 2k+A+1. M.Hash: 2k+A.
-  Sep2pStrategy sep2p(ctx_, passive);
+  Sep2pStrategy sep2p(ctx_, passive, network_->coalition());
   auto r = sep2p.Run(1, rng);
   ASSERT_TRUE(r.ok());
   double two_k = r->verification_cost;
   EXPECT_GE(two_k, 4);  // k >= 2
   EXPECT_EQ(static_cast<int>(two_k) % 2, 0);
 
-  EsNavStrategy nav(ctx_, passive);
+  EsNavStrategy nav(ctx_, passive, network_->coalition());
   auto rn = nav.Run(1, rng);
   ASSERT_TRUE(rn.ok());
-  EsAvStrategy av(ctx_, passive);
+  EsAvStrategy av(ctx_, passive, network_->coalition());
   auto ra = av.Run(1, rng);
   ASSERT_TRUE(ra.ok());
-  MHashStrategy mh(ctx_, passive);
+  MHashStrategy mh(ctx_, passive, network_->coalition());
   auto rm = mh.Run(1, rng);
   ASSERT_TRUE(rm.ok());
 
@@ -82,7 +82,7 @@ TEST_F(StrategiesTest, AllStrategiesSelectAActorsWhenHonest) {
   AdversaryConfig passive = AdversaryConfig::Passive();
   util::Rng rng(5);
   for (const char* name : {"SEP2P", "ES.NAV", "ES.AV", "M.Hash"}) {
-    auto strategy = MakeStrategy(name, ctx_, passive);
+    auto strategy = MakeStrategy(name, ctx_, passive, network_->coalition());
     auto run = strategy->Run(2, rng);
     ASSERT_TRUE(run.ok()) << name << ": " << run.status().ToString();
     EXPECT_EQ(run->actors.size(), static_cast<size_t>(ctx_.actor_count))
@@ -94,7 +94,7 @@ TEST_F(StrategiesTest, AllStrategiesSelectAActorsWhenHonest) {
 TEST_F(StrategiesTest, Sep2pStaysIdealUnderFullAdversary) {
   AdversaryConfig full;  // claim + stuff + hide
   full.hide_honest_cache_entries = true;
-  Sep2pStrategy strategy(ctx_, full);
+  Sep2pStrategy strategy(ctx_, full, network_->coalition());
   double avg = AverageCorrupted(strategy, 60);
   // Ideal is A*C/N = 8 * 80/4000 = 0.16; allow generous sampling noise,
   // but far below attacker control (A = 8).
@@ -103,7 +103,7 @@ TEST_F(StrategiesTest, Sep2pStaysIdealUnderFullAdversary) {
 
 TEST_F(StrategiesTest, EsNavCollapsesUnderAdversary) {
   AdversaryConfig full;
-  EsNavStrategy strategy(ctx_, full);
+  EsNavStrategy strategy(ctx_, full, network_->coalition());
   double avg = AverageCorrupted(strategy, 120);
   // With 2% colluders and a tolerance region holding >= 1 node w.h.p.,
   // a large fraction of runs are captured, each yielding A corrupted.
@@ -112,7 +112,7 @@ TEST_F(StrategiesTest, EsNavCollapsesUnderAdversary) {
 
 TEST_F(StrategiesTest, EsAvBoundsCorruptionByCollusionSize) {
   AdversaryConfig full;
-  EsAvStrategy strategy(ctx_, full);
+  EsAvStrategy strategy(ctx_, full, network_->coalition());
   util::Rng rng(19);
   for (int t = 0; t < 30; ++t) {
     uint32_t trigger = rng.NextUint64(network_->directory().size());
@@ -126,7 +126,7 @@ TEST_F(StrategiesTest, EsAvBoundsCorruptionByCollusionSize) {
 
 TEST_F(StrategiesTest, MHashLeaksPerDestination) {
   AdversaryConfig full;
-  MHashStrategy strategy(ctx_, full);
+  MHashStrategy strategy(ctx_, full, network_->coalition());
   double avg = AverageCorrupted(strategy, 40);
   EXPECT_GT(avg, 2 * IdealCorrupted());   // clearly worse than ideal
   EXPECT_LT(avg, ctx_.actor_count);        // but not full capture either
@@ -135,7 +135,7 @@ TEST_F(StrategiesTest, MHashLeaksPerDestination) {
 TEST_F(StrategiesTest, PassiveAdversaryMakesAllStrategiesNearIdeal) {
   AdversaryConfig passive = AdversaryConfig::Passive();
   for (const char* name : {"SEP2P", "ES.NAV", "ES.AV", "M.Hash"}) {
-    auto strategy = MakeStrategy(name, ctx_, passive);
+    auto strategy = MakeStrategy(name, ctx_, passive, network_->coalition());
     double avg = AverageCorrupted(*strategy, 40, /*seed=*/23);
     EXPECT_LE(avg, 6 * IdealCorrupted() + 0.4) << name;
   }
@@ -145,8 +145,9 @@ TEST_F(StrategiesTest, MHashSetupMessagesScaleWithActors) {
   AdversaryConfig passive = AdversaryConfig::Passive();
   core::ProtocolContext big = ctx_;
   big.actor_count = 32;
-  MHashStrategy small_strategy(ctx_, passive);  // A = 8
-  MHashStrategy big_strategy(big, passive);     // A = 32
+  MHashStrategy small_strategy(ctx_, passive,
+                               network_->coalition());  // A = 8
+  MHashStrategy big_strategy(big, passive, network_->coalition());  // A = 32
   util::Rng rng(29);
   auto small_run = small_strategy.Run(3, rng);
   auto big_run = big_strategy.Run(3, rng);
@@ -159,8 +160,8 @@ TEST_F(StrategiesTest, Sep2pSetupWorkIsHighestButVerificationLowest) {
   // The paper's trade-off: SEP2P pays at setup so verifiers pay 2k only.
   AdversaryConfig passive = AdversaryConfig::Passive();
   util::Rng rng(31);
-  Sep2pStrategy sep2p(ctx_, passive);
-  EsNavStrategy nav(ctx_, passive);
+  Sep2pStrategy sep2p(ctx_, passive, network_->coalition());
+  EsNavStrategy nav(ctx_, passive, network_->coalition());
   auto rs = sep2p.Run(7, rng);
   auto rn = nav.Run(7, rng);
   ASSERT_TRUE(rs.ok() && rn.ok());

@@ -98,7 +98,7 @@ TEST(TrialRunnerTest, RunPointCoversEveryTrialExactlyOnce) {
   std::vector<std::atomic<int>> hits(kTrials);
   std::atomic<int> misplaced{0};
   Status status = runner.RunPoint(
-      /*point=*/0, kTrials, /*seed=*/7, /*observers=*/nullptr, {},
+      /*point=*/0, kTrials, /*seed=*/7, /*observers=*/nullptr,
       [&](const Trial& trial) {
         hits[trial.t].fetch_add(1, std::memory_order_relaxed);
         if (trial.shard != trial.t / TrialRunner::kShardSize ||
@@ -112,14 +112,11 @@ TEST(TrialRunnerTest, RunPointCoversEveryTrialExactlyOnce) {
   EXPECT_EQ(misplaced.load(), 0);
 }
 
-// First draw of every trial's stream, run with the given thread count
-// and with or without an epoch barrier.
-std::vector<uint64_t> FirstDraws(int threads, int trials, bool epochs) {
+// First draw of every trial's stream, run with the given thread count.
+std::vector<uint64_t> FirstDraws(int threads, int trials) {
   std::vector<uint64_t> draws(trials);
   TrialRunner runner(threads);
-  std::function<void(int)> on_epoch;
-  if (epochs) on_epoch = [](int) {};
-  Status status = runner.RunPoint(0, trials, /*seed=*/42, nullptr, on_epoch,
+  Status status = runner.RunPoint(0, trials, /*seed=*/42, nullptr,
                                   [&](const Trial& trial) {
                                     draws[trial.t] = trial.rng.NextUint64();
                                     return Status::Ok();
@@ -130,7 +127,7 @@ std::vector<uint64_t> FirstDraws(int threads, int trials, bool epochs) {
 
 TEST(TrialRunnerTest, PerTrialRngIndependentOfExecutionOrder) {
   // Each trial's stream is Rng(StreamSeed(seed, t)) whatever the thread
-  // count.
+  // count, a partial last shard included.
   constexpr int kTrials = 256;
   std::vector<uint64_t> expected(kTrials);
   for (int t = 0; t < kTrials; ++t) {
@@ -138,44 +135,9 @@ TEST(TrialRunnerTest, PerTrialRngIndependentOfExecutionOrder) {
                       .NextUint64();
   }
   EXPECT_EQ(TrialRunner(1).pool().workers(), 0);
-  EXPECT_EQ(FirstDraws(1, kTrials, /*epochs=*/false), expected);
-  EXPECT_EQ(FirstDraws(8, kTrials, /*epochs=*/false), expected);
-}
-
-TEST(TrialRunnerTest, RunPointUsesGlobalTrialIndicesAcrossEpochs) {
-  // Splitting a point into epochs must produce exactly the trials of
-  // one unbroken run: stream seeds key off the global index.
-  EXPECT_EQ(FirstDraws(4, 64, /*epochs=*/true),
-            FirstDraws(4, 64, /*epochs=*/false));
-  EXPECT_EQ(FirstDraws(1, 40, /*epochs=*/true),
-            FirstDraws(8, 40, /*epochs=*/false));
-}
-
-TEST(TrialRunnerTest, RunPointEpochRunsOnceBeforeItsShard) {
-  // 40 trials = epochs of 16, 16 and 8. The barrier and the trials all
-  // run on the calling thread, so the log is the execution order.
-  TrialRunner runner(4);
-  std::vector<std::string> log;
-  ASSERT_TRUE(runner
-                  .RunPoint(
-                      0, 40, 5, nullptr,
-                      [&](int epoch) {
-                        log.push_back("epoch " + std::to_string(epoch));
-                      },
-                      [&](const Trial& trial) {
-                        log.push_back("trial " + std::to_string(trial.t));
-                        return Status::Ok();
-                      })
-                  .ok());
-  std::vector<std::string> expected;
-  for (int t = 0; t < 40; ++t) {
-    if (t % TrialRunner::kShardSize == 0) {
-      expected.push_back("epoch " +
-                         std::to_string(t / TrialRunner::kShardSize));
-    }
-    expected.push_back("trial " + std::to_string(t));
-  }
-  EXPECT_EQ(log, expected);
+  EXPECT_EQ(FirstDraws(1, kTrials), expected);
+  EXPECT_EQ(FirstDraws(8, kTrials), expected);
+  EXPECT_EQ(FirstDraws(1, 40), FirstDraws(8, 40));
 }
 
 TEST(TrialRunnerTest, LowestIndexedFailingTrialWins) {
@@ -186,17 +148,9 @@ TEST(TrialRunnerTest, LowestIndexedFailingTrialWins) {
     return Status::Ok();
   };
   TrialRunner runner(4);
-  Status status = runner.RunPoint(0, 500, 1, nullptr, {}, fail_at);
+  Status status = runner.RunPoint(0, 500, 1, nullptr, fail_at);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.message(), "trial 77");
-
-  // With barriers, no epoch after the failing one runs.
-  int last_epoch = -1;
-  status = runner.RunPoint(
-      0, 500, 1, nullptr, [&](int epoch) { last_epoch = epoch; }, fail_at);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.message(), "trial 77");
-  EXPECT_EQ(last_epoch, 77 / TrialRunner::kShardSize);
 }
 
 TEST(TrialRunnerTest, RunPointObserverSlotsAndShardMetrics) {
@@ -217,7 +171,7 @@ TEST(TrialRunnerTest, RunPointObserverSlotsAndShardMetrics) {
     mets[trial.t] = trial.met;
     return Status::Ok();
   };
-  ASSERT_TRUE(runner.RunPoint(0, 40, 1, &observers, {}, record).ok());
+  ASSERT_TRUE(runner.RunPoint(0, 40, 1, &observers, record).ok());
   ASSERT_EQ(recorders.size(), 3u);
   for (int t = 0; t < 40; ++t) {
     EXPECT_EQ(recs[t], t < 3 ? &recorders[t] : nullptr) << t;
@@ -228,13 +182,13 @@ TEST(TrialRunnerTest, RunPointObserverSlotsAndShardMetrics) {
 
   // Later points record nothing and leave the slots alone, but are
   // metered too.
-  ASSERT_TRUE(runner.RunPoint(1, 40, 2, &observers, {}, record).ok());
+  ASSERT_TRUE(runner.RunPoint(1, 40, 2, &observers, record).ok());
   EXPECT_EQ(recorders.size(), 3u);
   for (int t = 0; t < 40; ++t) EXPECT_EQ(recs[t], nullptr) << t;
   EXPECT_EQ(metrics.counter(obs::Counter::kTrials), 80u);
 
   // A failed point folds none of its metrics.
-  Status status = runner.RunPoint(1, 40, 3, &observers, {},
+  Status status = runner.RunPoint(1, 40, 3, &observers,
                                   [](const Trial&) {
                                     return Status::Internal("fail");
                                   });
@@ -253,8 +207,45 @@ TEST(TrialRunnerTest, NetworkBuildIsIdenticalForAnyThreadCount) {
   for (uint32_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.pub(i), b.pub(i)) << "node " << i;
     EXPECT_TRUE(a.pos(i) == b.pos(i)) << "node " << i;
-    EXPECT_EQ(a.colluding(i), b.colluding(i)) << "node " << i;
   }
+  EXPECT_EQ((*serial)->coalition().indices(),
+            (*parallel)->coalition().indices());
+}
+
+// FNV-1a over what the epoch harnesses must never write: the network's
+// coalition and the Directory's flag column.
+uint64_t SharedStateDigest(const Network& net) {
+  uint64_t h = 14695981039346656037ULL;
+  auto mix = [&h](uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ULL;
+  };
+  for (uint32_t idx : net.coalition().indices()) mix(idx);
+  const dht::Directory& dir = net.directory();
+  for (uint32_t i = 0; i < dir.size(); ++i) {
+    mix(i);
+    mix((dir.alive(i) ? 1u : 0u) | (dir.crashed(i) ? 2u : 0u) |
+        (dir.has_cert(i) ? 4u : 0u));
+  }
+  return h;
+}
+
+// Epochs draw their own coalitions, so the strategy comparison and the
+// adversary sweep run over the network without rewriting any of it.
+TEST(TrialRunnerTest, EpochHarnessesLeaveTheNetworkUntouched) {
+  Result<std::unique_ptr<Network>> network = Network::Build(SmallNet(4));
+  ASSERT_TRUE(network.ok());
+  Network& net = **network;
+  const uint64_t before = SharedStateDigest(net);
+
+  ASSERT_TRUE(
+      RunStrategyComparison(net, {"SEP2P", "ES.AV"}, /*trials=*/40).ok());
+  EXPECT_EQ(SharedStateDigest(net), before);
+
+  ASSERT_TRUE(attack::RunAdversarySweep(net, {"csar-grind", "sl-bias"},
+                                        /*trials=*/40)
+                  .ok());
+  EXPECT_EQ(SharedStateDigest(net), before);
 }
 
 // The flagship guarantee: a whole experiment harness produces

@@ -1297,7 +1297,7 @@ int CmdAttack(const Flags& flags) {
   }
   sim::Network& net = **network;
   core::ProtocolContext ctx = net.context();
-  auto scenario = attack::MakeScenario(focus, ctx, net.ColluderIndices());
+  auto scenario = attack::MakeScenario(focus, ctx, net.coalition());
   obs::TraceRecorder recorder;
   recorder.meta().node_count =
       static_cast<uint32_t>(net.directory().size());

@@ -55,8 +55,8 @@ class Network {
   void set_verify_sink(crypto::VerdictCache* sink) { verify_sink_ = sink; }
   crypto::VerdictCache* verify_sink() const { return verify_sink_; }
 
-  // The coalition drawn at build time from rng() (C colluders among
-  // the initial population; churn-pool nodes never collude). Harnesses
+  // The coalition drawn at build time (C colluders among the initial
+  // population; churn-pool nodes never collude). Harnesses
   // that re-randomize colluders per epoch draw their own coalitions
   // (DrawCoalitions) and leave this one alone.
   const strategies::Coalition& coalition() const { return coalition_; }

@@ -1,13 +1,18 @@
-// SHA-256 implemented from scratch (FIPS 180-4).
+// SHA-256 (FIPS 180-4), backed by libcrypto's SHA256_Init/Update/Final.
 //
 // This is the cryptographic hash the whole system builds on: node ids are
 // hash(public key) (imposed node location, SEP2P §3.2), verifiable randoms
 // commit via hash(RND_i) (§3.4), and the execution Setter location is
-// hash(RND_T) (§3.5). The implementation is validated against the NIST
-// test vectors in tests/sha256_test.cc and cross-checked against OpenSSL.
+// hash(RND_T) (§3.5). The low-level calls run libcrypto's compression
+// function (SHA-NI where the CPU has it) without the per-call algorithm
+// fetch of OpenSSL 3's one-shot SHA256()/EVP_Digest, which costs more than
+// hashing a short input. tests/sha256_test.cc holds the NIST test vectors
+// and a cross-check against the one-shot SHA256().
 
 #ifndef SEP2P_CRYPTO_SHA256_H_
 #define SEP2P_CRYPTO_SHA256_H_
+
+#include <openssl/sha.h>
 
 #include <array>
 #include <cstddef>
@@ -37,12 +42,7 @@ class Sha256 {
   void Reset();
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
-
-  uint32_t state_[8];
-  uint64_t total_len_;
-  uint8_t buffer_[64];
-  size_t buffer_len_;
+  SHA256_CTX ctx_;
 };
 
 // One-shot helpers.

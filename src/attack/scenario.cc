@@ -11,6 +11,7 @@
 #include "dht/node_id.h"
 #include "dht/region.h"
 #include "net/sim_network.h"
+#include "node/app_runtime.h"
 #include "node/join.h"
 #include "node/node_cache.h"
 #include "strategies/adversary.h"
@@ -48,13 +49,12 @@ std::vector<crypto::PublicKey> CoalitionList(
   return keys;
 }
 
-// Restart loop shared by the selection-based scenarios: kUnavailable
-// aborts restart with a fresh engagement, anything else is a real
-// error. The execution runs over a zero-fault transport (net::kIdealLink)
-// observed by `trace`/`metrics`, so no benign failure is ever injected:
-// every abort is a coalition strike — a participant's handler refusing
-// to answer — or its collateral.
-Result<core::SelectionProtocol::Outcome> RunWithRestarts(
+// Runs one selection through the runtime's fresh-RND_T restart loop over a
+// zero-fault transport (net::kIdealLink) observed by `trace`/`metrics`, so
+// no benign failure is ever injected: every abort is a coalition strike — a
+// participant's handler refusing to answer — or its collateral. Strikes are
+// capped at kStrikeBudget, below kMaxAttempts, so the loop cannot exhaust.
+Result<core::SelectionProtocol::Outcome> RunSelection(
     const core::ProtocolContext& ctx, uint32_t trigger, util::Rng& rng,
     obs::TraceRecorder* trace, obs::MetricsRegistry* metrics,
     core::AttackHooks* hooks, int* restarts) {
@@ -62,19 +62,11 @@ Result<core::SelectionProtocol::Outcome> RunWithRestarts(
                           net::kIdealLink, net::RetryPolicy{}, /*seed=*/0);
   network.set_trace(trace);
   network.set_metrics(metrics);
-  core::SelectionProtocol protocol(ctx);
   core::SelectionOptions options;
   options.attack = hooks;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    Result<core::SelectionProtocol::Outcome> run =
-        protocol.Run(trigger, rng, network, options);
-    if (run.ok()) return run;
-    if (run.status().code() != StatusCode::kUnavailable) {
-      return run.status();
-    }
-    ++*restarts;
-  }
-  return Status::ResourceExhausted("attack: restart budget exhausted");
+  return node::AppRuntime(&network).RunSelection(ctx, trigger, rng,
+                                                 kMaxAttempts, restarts,
+                                                 options);
 }
 
 // Hands the completed selection to a verifier (the data source's 2k-op
@@ -113,8 +105,8 @@ class NoneScenario final : public Scenario {
                             obs::MetricsRegistry* metrics) override {
     AttackOutcome out;
     Result<core::SelectionProtocol::Outcome> run =
-        RunWithRestarts(ctx_, trigger, rng, trace, metrics, nullptr,
-                        &out.restarts);
+        RunSelection(ctx_, trigger, rng, trace, metrics, nullptr,
+                     &out.restarts);
     if (!run.ok()) return run.status();
     out.attempts = out.restarts + 1;
     FinishSelection(ctx_, coalition_, *run, metrics, out);
@@ -176,8 +168,8 @@ class CsarGrindScenario final : public Scenario {
     GrindHooks hooks(ctx_, coalition_);
     AttackOutcome out;
     Result<core::SelectionProtocol::Outcome> run =
-        RunWithRestarts(ctx_, trigger, rng, trace, metrics, &hooks,
-                        &out.restarts);
+        RunSelection(ctx_, trigger, rng, trace, metrics, &hooks,
+                     &out.restarts);
     if (!run.ok()) return run.status();
     out.attempted = hooks.opportunity || hooks.strikes > 0;
     out.strikes = hooks.strikes;
@@ -223,8 +215,8 @@ class SlBiasScenario final : public Scenario {
     BiasHooks hooks(coalition_);
     AttackOutcome out;
     Result<core::SelectionProtocol::Outcome> run =
-        RunWithRestarts(ctx_, trigger, rng, trace, metrics, &hooks,
-                        &out.restarts);
+        RunSelection(ctx_, trigger, rng, trace, metrics, &hooks,
+                     &out.restarts);
     if (!run.ok()) return run.status();
     out.attempted = hooks.opportunity;
     out.attempts = out.restarts + 1;
@@ -291,8 +283,8 @@ class SlWithholdScenario final : public Scenario {
     WithholdHooks hooks(ctx_, coalition_, fraction);
     AttackOutcome out;
     Result<core::SelectionProtocol::Outcome> run =
-        RunWithRestarts(ctx_, trigger, rng, trace, metrics, &hooks,
-                        &out.restarts);
+        RunSelection(ctx_, trigger, rng, trace, metrics, &hooks,
+                     &out.restarts);
     if (!run.ok()) return run.status();
     out.attempted = hooks.opportunity;
     out.strikes = hooks.strikes;
@@ -361,8 +353,8 @@ class SlForgeScenario final : public Scenario {
     ForgeHooks hooks(ctx_, coalition_);
     AttackOutcome out;
     Result<core::SelectionProtocol::Outcome> run =
-        RunWithRestarts(ctx_, trigger, rng, trace, metrics, &hooks,
-                        &out.restarts);
+        RunSelection(ctx_, trigger, rng, trace, metrics, &hooks,
+                     &out.restarts);
     if (!run.ok()) return run.status();
     out.attempted = hooks.opportunity;
     out.attempts = out.restarts + 1;
@@ -672,8 +664,8 @@ class EquivocateScenario final : public Scenario {
                             obs::MetricsRegistry* metrics) override {
     AttackOutcome out;
     Result<core::SelectionProtocol::Outcome> run =
-        RunWithRestarts(ctx_, trigger, rng, trace, metrics, nullptr,
-                        &out.restarts);
+        RunSelection(ctx_, trigger, rng, trace, metrics, nullptr,
+                     &out.restarts);
     if (!run.ok()) return run.status();
     out.attempts = out.restarts + 1;
 

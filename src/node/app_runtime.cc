@@ -33,12 +33,12 @@ void AppRuntime::AdvanceRoute(int hops) {
 
 Result<core::SelectionProtocol::Outcome> AppRuntime::RunSelection(
     const core::ProtocolContext& ctx, uint32_t trigger_index, util::Rng& rng,
-    int max_attempts, int* restarts) {
+    int max_attempts, int* restarts, const core::SelectionOptions& options) {
   core::SelectionProtocol protocol(ctx);
   Result<core::SelectionProtocol::Outcome> run =
       Status::Unavailable("selection: no attempt made");
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    run = protocol.Run(trigger_index, rng, *network_);
+    run = protocol.Run(trigger_index, rng, *network_, options);
     if (run.ok()) {
       if (restarts != nullptr) *restarts = attempt - 1;
       if (obs::MetricsRegistry* m = network_->metrics();

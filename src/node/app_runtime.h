@@ -84,9 +84,11 @@ class AppRuntime {
   // with a fresh RND_T (up to `max_attempts` runs total) only when a
   // quorum is genuinely unreachable (kUnavailable). `restarts` (if
   // non-null) receives the number of restarts consumed on success.
+  // `options` reach every attempt (src/attack/ installs its hooks here).
   Result<core::SelectionProtocol::Outcome> RunSelection(
       const core::ProtocolContext& ctx, uint32_t trigger_index,
-      util::Rng& rng, int max_attempts, int* restarts);
+      util::Rng& rng, int max_attempts, int* restarts,
+      const core::SelectionOptions& options = {});
 
   // Monotonic id for message-level deduplication (unique per runtime).
   uint64_t NextMessageId() { return ++next_message_id_; }

@@ -39,7 +39,6 @@ class Network {
   crypto::SignatureProvider& provider() { return *provider_; }
   crypto::CertificateAuthority& ca() { return *ca_; }
   const core::KTable& ktable() const { return *ktable_; }
-  util::Rng& rng() { return rng_; }
 
   // Lazily built CAN overlay (only some tests/benches need it).
   dht::CanOverlay& can();

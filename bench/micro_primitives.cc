@@ -1,5 +1,5 @@
 // Micro-benchmarks for the primitives underlying the cost model:
-// SHA-256 (free in the paper's accounting), Ed25519 sign/verify (the
+// SHA-256 and HMAC (free in the paper's accounting), Ed25519 sign/verify (the
 // "asymmetric crypto operation" unit), Chord/CAN routing, region
 // queries, and the k-table math. These calibrate what one unit of the
 // paper's metrics costs on real hardware.
@@ -9,6 +9,7 @@
 #include "core/ktable.h"
 #include "core/probability.h"
 #include "crypto/ed25519_provider.h"
+#include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "crypto/sim_provider.h"
 #include "dht/can.h"
@@ -29,6 +30,20 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
+
+// HMAC-SHA256 over a 100-byte message with a 32-byte key: the shape of a
+// SimProvider signature, the hash call the simulated sign/verify path
+// makes.
+void BM_Hmac(benchmark::State& state) {
+  util::Rng rng(4);
+  std::vector<uint8_t> key(32), msg(100);
+  rng.FillBytes(key.data(), key.size());
+  rng.FillBytes(msg.data(), msg.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::HmacSha256(key, msg));
+  }
+}
+BENCHMARK(BM_Hmac);
 
 template <typename Provider>
 void BM_Sign(benchmark::State& state) {
